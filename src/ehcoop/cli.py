@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 input error, 2 solver non-convergence,
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
@@ -75,8 +74,7 @@ def _cmd_solve(args):
 
 
 def _cmd_sweep(args):
-    with open(args.config) as fh:
-        spec = harness.sweep_spec_from_dict(json.load(fh))
+    spec = harness.load_sweep_spec(args.config)
     rows = harness.run_sweep(spec)
     harness.emit(rows, "csv", args.out)
     print(f"wrote {len(rows)} rows to {args.out}")

@@ -26,7 +26,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,7 +39,6 @@ from .model import (
     check_feasible,
     check_partially_procrastinating,
     check_procrastinating,
-    decompose,
 )
 from .oracle import DpConfig, dp_solve
 from .waterfill import CooperationMode, SolveReport
@@ -60,23 +59,28 @@ def _capacity(x):
 
 
 def scenario_from_dict(d: dict) -> Scenario:
+    """Build a Scenario from the JSON schema; Scenario validates the values."""
+    if not isinstance(d, dict):
+        raise InputError("a scenario must be a JSON object")
     try:
         model = ModelKind(d["model"])
-    except (KeyError, ValueError):
+    except (KeyError, TypeError, ValueError):
         raise InputError("field 'model' must be one of TWC, THC, MAC")
     for key in ("harvests_mJ", "battery_capacity_mJ", "transfer_efficiency",
                 "channel_gain_dB", "noise_power_W"):
         if key not in d:
             raise InputError(f"missing required field '{key}'")
-    caps = [_capacity(c) for c in d["battery_capacity_mJ"]]
+    caps = d["battery_capacity_mJ"]
+    if isinstance(caps, list):
+        caps = [_capacity(c) for c in caps]
     return Scenario(
         model_kind=model,
-        harvests=np.asarray(d["harvests_mJ"], dtype=float),
-        battery_capacity=np.array(caps),
-        transfer_efficiency=np.asarray(d["transfer_efficiency"], dtype=float),
-        channel_gain_db=np.asarray(d["channel_gain_dB"], dtype=float),
-        noise_power_w=np.asarray(d["noise_power_W"], dtype=float),
-        slot_seconds=float(d.get("slot_seconds", 1.0)),
+        harvests=d["harvests_mJ"],
+        battery_capacity=caps,
+        transfer_efficiency=d["transfer_efficiency"],
+        channel_gain_db=d["channel_gain_dB"],
+        noise_power_w=d["noise_power_W"],
+        slot_seconds=d.get("slot_seconds", 1.0),
     )
 
 
@@ -93,13 +97,20 @@ def scenario_to_dict(sc: Scenario) -> dict:
     }
 
 
-def load_scenario(path) -> Scenario:
+def _load_json(path, what):
     with open(path) as fh:
         try:
-            d = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"scenario file is not valid JSON: {exc}")
-    return scenario_from_dict(d)
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not text
+            raise InputError(f"{what} file is not valid JSON: {exc}") from None
+
+
+def load_scenario(path) -> Scenario:
+    return scenario_from_dict(_load_json(path, "scenario"))
+
+
+def load_sweep_spec(path) -> SweepSpec:
+    return sweep_spec_from_dict(_load_json(path, "sweep"))
 
 
 def generate_harvests(peak_mJ, n, seed) -> np.ndarray:
@@ -141,22 +152,27 @@ class SweepSpec:
 
 
 def sweep_spec_from_dict(d: dict) -> SweepSpec:
+    if not isinstance(d, dict):
+        raise InputError("a sweep spec must be a JSON object")
     base = scenario_from_dict(d["base_scenario"])
-    if "values" in d:
-        values = tuple(float(v) for v in d["values"])
-    else:
-        lo, hi, step = float(d["lo"]), float(d["hi"]), float(d["step"])
-        if not (lo <= hi and step > 0):
-            raise InputError("sweep range requires lo <= hi and step > 0")
-        values = tuple(np.arange(lo, hi + 0.5 * step, step))
-    kwargs = {}
-    for key in ("trials_per_point", "seed", "peak_harvest_node1", "peak_harvest_node2"):
-        if key in d:
-            kwargs[key] = d[key]
-    if "modes" in d:
-        kwargs["modes"] = tuple(d["modes"])
-    return SweepSpec(base=base, swept_parameter=d["swept_parameter"],
-                     values=values, **kwargs)
+    try:
+        if "values" in d:
+            values = tuple(float(v) for v in d["values"])
+        else:
+            lo, hi, step = float(d["lo"]), float(d["hi"]), float(d["step"])
+            if not (lo <= hi and step > 0):
+                raise InputError("sweep range requires lo <= hi and step > 0")
+            values = tuple(np.arange(lo, hi + 0.5 * step, step))
+        kwargs = {}
+        for key in ("trials_per_point", "seed", "peak_harvest_node1", "peak_harvest_node2"):
+            if key in d:
+                kwargs[key] = d[key]
+        if "modes" in d:
+            kwargs["modes"] = tuple(d["modes"])
+        return SweepSpec(base=base, swept_parameter=d["swept_parameter"],
+                         values=values, **kwargs)
+    except (TypeError, ValueError) as exc:  # InputError too: one prefix for every spec error
+        raise InputError(f"malformed sweep spec: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -194,15 +210,8 @@ def run_sweep(spec: SweepSpec):
         for t in range(spec.trials_per_point):
             e1 = peak1 * _trial_uniforms(spec.seed, t, 0, n)
             e2 = spec.peak_harvest_node2 * _trial_uniforms(spec.seed, t, 1, n)
-            sc = Scenario(
-                model_kind=spec.base.model_kind,
-                harvests=np.vstack([e1, e2]),
-                battery_capacity=np.array(spec.base.battery_capacity),
-                transfer_efficiency=np.array([alpha1, spec.base.transfer_efficiency[1]]),
-                channel_gain_db=np.array(spec.base.channel_gain_db),
-                noise_power_w=np.array(spec.base.noise_power_w),
-                slot_seconds=spec.base.slot_seconds,
-            )
+            sc = replace(spec.base, harvests=np.vstack([e1, e2]),
+                         transfer_efficiency=(alpha1, spec.base.transfer_efficiency[1]))
             for m in spec.modes:
                 val, ok = _evaluate(sc, m)
                 sums[m] += val

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -38,8 +38,19 @@ class ModelKind(enum.Enum):
     MAC = "MAC"
 
 
-def _pair(x, name):
-    arr = np.asarray(x, dtype=float)
+def _floats(x, name, allow_inf=False):
+    """x as a float array; NaN, and +-inf unless allowed, are rejected."""
+    try:
+        arr = np.asarray(x, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{name} must be numeric: {exc}") from None
+    if not np.isfinite(arr).all() and (not allow_inf or np.isnan(arr).any()):
+        raise InputError(f"{name} must be finite")
+    return arr
+
+
+def _pair(x, name, allow_inf=False):
+    arr = _floats(x, name, allow_inf)
     if arr.shape != (2,):
         raise InputError(f"{name} must have exactly two entries, got shape {arr.shape}")
     return arr
@@ -64,28 +75,30 @@ class Scenario:
     effective_noise_mw: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        harv = np.asarray(self.harvests, dtype=float)
+        harv = _floats(self.harvests, "harvests")
         if harv.ndim != 2 or harv.shape[0] != 2 or harv.shape[1] < 1:
             raise InputError(f"harvests must be 2xN with N>=1, got shape {harv.shape}")
-        if np.any(harv < 0):
+        if (harv < 0).any():
             raise InputError("harvests must be non-negative")
-        cap = _pair(self.battery_capacity, "battery_capacity")
-        if np.any(cap <= 0):
+        cap = _pair(self.battery_capacity, "battery_capacity", allow_inf=True)
+        if (cap <= 0).any():
             raise InputError("battery_capacity must be positive (or INFINITE)")
         alpha = _pair(self.transfer_efficiency, "transfer_efficiency")
-        if np.any(alpha < 0) or np.any(alpha > 1):
+        if (alpha < 0).any() or (alpha > 1).any():
             raise InputError("transfer_efficiency must lie in [0,1]")
         gain_db = _pair(self.channel_gain_db, "channel_gain_db")
         noise = _pair(self.noise_power_w, "noise_power_w")
-        if np.any(noise <= 0):
+        if (noise <= 0).any():
             raise InputError("noise_power_w must be positive")
-        if not self.slot_seconds > 0:
+        dt = float(_floats(self.slot_seconds, "slot_seconds"))
+        if not dt > 0:
             raise InputError("slot_seconds must be positive")
         gain_lin = 10.0 ** (gain_db / 10.0)
-        if np.any(gain_lin <= 0):
-            raise InputError("linear channel gains must be positive")
         # n_k = sigma_j^2 / h_k, in mW; the noise floor seen by node k's signal.
         eff = np.array([noise[1] / gain_lin[0], noise[0] / gain_lin[1]]) * 1e3
+        if not (np.isfinite(eff).all() and (eff > 0).all()):
+            raise InputError("channel gains and noise powers must give a positive, "
+                             "finite effective noise")
         for name, val in [
             ("harvests", harv), ("battery_capacity", cap),
             ("transfer_efficiency", alpha), ("channel_gain_db", gain_db),
@@ -93,6 +106,7 @@ class Scenario:
         ]:
             object.__setattr__(self, name, val)
             val.setflags(write=False)
+        object.__setattr__(self, "slot_seconds", dt)
 
     @property
     def n_slots(self) -> int:
@@ -103,15 +117,14 @@ class Scenario:
         return 10.0 ** (self.channel_gain_db / 10.0)
 
     def with_efficiency(self, alpha1, alpha2) -> "Scenario":
-        return Scenario(
-            model_kind=self.model_kind,
-            harvests=np.array(self.harvests),
-            battery_capacity=np.array(self.battery_capacity),
-            transfer_efficiency=np.array([alpha1, alpha2]),
-            channel_gain_db=np.array(self.channel_gain_db),
-            noise_power_w=np.array(self.noise_power_w),
-            slot_seconds=self.slot_seconds,
-        )
+        return replace(self, transfer_efficiency=(alpha1, alpha2))
+
+    def unit_slot(self) -> "Scenario":
+        """Noise scaled by slot length, so per-slot energy doubles as power."""
+        if self.slot_seconds == 1.0:
+            return self
+        return replace(self, noise_power_w=self.noise_power_w * self.slot_seconds,
+                       slot_seconds=1.0)
 
 
 def _policy_array(x, n, name):

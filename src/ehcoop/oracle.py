@@ -15,14 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import transfer
-from .model import (
-    DecomposedPolicy,
-    InputError,
-    ModelKind,
-    Scenario,
-    TransferPolicy,
-    recover_transmit_powers,
-)
+from .model import DecomposedPolicy, InputError, Scenario, recover_transmit_powers
 
 
 @dataclass(frozen=True)
@@ -40,20 +33,6 @@ class DpConfig:
         return budget / self.grid_points
 
 
-def _unit_slot(sc: Scenario) -> Scenario:
-    if sc.slot_seconds == 1.0:
-        return sc
-    return Scenario(
-        model_kind=sc.model_kind,
-        harvests=np.array(sc.harvests),
-        battery_capacity=np.array(sc.battery_capacity),
-        transfer_efficiency=np.array(sc.transfer_efficiency),
-        channel_gain_db=np.array(sc.channel_gain_db),
-        noise_power_w=np.array(sc.noise_power_w) * sc.slot_seconds,
-        slot_seconds=1.0,
-    )
-
-
 def dp_solve(sc: Scenario, cfg: DpConfig = DpConfig()):
     """Backward value iteration over quantized joint battery states.
 
@@ -62,7 +41,7 @@ def dp_solve(sc: Scenario, cfg: DpConfig = DpConfig()):
     actions transfer stored quanta to the other node (the epsilon
     component).  Returns (objective lower bound in nats, TransferPolicy).
     """
-    ssc = _unit_slot(sc)
+    ssc = sc.unit_slot()
     q = cfg.quantum_for(sc)
     n = ssc.n_slots
     h = np.floor(ssc.harvests / q + 1e-12).astype(int)  # round down: feasible

@@ -2,7 +2,8 @@
 
 The inner problem of the decomposition: for fixed consumed powers
 (pb1, pb2) in a single slot, find the transfer that maximizes the slot
-rate, the resulting rate, and the marginal water levels.
+rate, the resulting rate, and the marginal water levels.  The levels are
+exact: piecewise affine in a node's own consumed power (level_pieces).
 
 All functions take consumed powers in mW (equivalently mJ for unit slots)
 and read effective noises and efficiencies from the Scenario.
@@ -158,74 +159,70 @@ def slot_transfer(model_kind, pb1, pb2, sc: Scenario) -> SlotTransfer:
     return mac_transfer(pb1, pb2, sc)
 
 
-def level_rate(model_kind, pb1, pb2, sc: Scenario) -> float:
-    """The per-slot objective whose inverse marginal is the water level.
+def _pieces(regions):
+    """Sorted pieces on [0, inf) from (upper end, slope, intercept) regions in
+    order of increasing power; regions ending at or before 0 drop out."""
+    pieces, lo = [], 0.0
+    for upper, slope, icpt in regions:
+        if upper > lo:
+            pieces.append((lo, slope, icpt))
+            lo = upper
+    return tuple(pieces)
 
-    For the TWC this is the slot capacity itself.  For the THC and MAC the
-    level formulas drop the 1/2 factor of the capacity, so this surrogate is
-    exactly twice the capacity; the maximizers coincide.
+
+def level_pieces(model_kind, k, q, sc: Scenario) -> tuple:
+    """Node k's water level in one slot as a function of its own consumed
+    power x, with the other node's consumed power fixed at q.
+
+    Returns sorted affine pieces (start, slope, intercept): on
+    [start, next start) the level is slope*x + intercept.  The first piece
+    starts at 0.  A piece with intercept +inf is the two-hop flat direction
+    (a_k = 0 on the sending side): the marginal rate is zero past its start.
     """
-    _check_powers(pb1, pb2)
-    n1, n2 = sc.effective_noise_mw
-    a1, a2 = sc.transfer_efficiency
+    if k not in (1, 2):
+        raise InputError("node index k must be 1 or 2")
+    ki = k - 1
+    n, m = sc.effective_noise_mw[ki], sc.effective_noise_mw[1 - ki]
+    a, b = sc.transfer_efficiency[ki], sc.transfer_efficiency[1 - ki]
     if model_kind is ModelKind.TWC:
-        st = twc_transfer(pb1, pb2, sc)
-        return st.rate_nats
+        # regimes by own power: the other node sends all, part, nobody sends,
+        # node k sends all, node k sends part
+        regions = []
+        if b > 0:
+            regions += [(b * (m - q) - n, 2.0, 2.0 * (n + b * q)),
+                        (b * (m + q) - n, 1.0, n + b * (m + q))]
+        if a > 0:
+            base = (m + q) / a
+            regions += [(base - n, 2.0, 2.0 * n), (n - base, 2.0, 2.0 * base),
+                        (math.inf, 1.0, n + base)]
+        else:
+            regions.append((math.inf, 2.0, 2.0 * n))
+        return _pieces(regions)
     if model_kind is ModelKind.THC:
-        t1 = (pb1 + a2 * pb2) / (n1 + a2 * n2)
-        t2 = (a1 * pb1 + pb2) / (n2 + a1 * n1)
-        return math.log1p(min(t1, t2))
-    send1, send2 = mac_sends(sc)
-    c1, c2 = _mac_coeffs(sc)
-    g1 = a1 * c2 if send1 else c1
-    g2 = a2 * c1 if send2 else c2
-    return math.log1p(g1 * pb1 + g2 * pb2)
+        # w_k is proportional to the other node's noise: the kink is at m*x == n*q
+        send = (0.0, math.inf) if a == 0 else (1.0, n + (m + q) / a)
+        return _pieces([(n * q / m, 1.0, n + b * (m + q)), (math.inf, *send)])
+    c, send, aa = _mac_coeffs(sc), mac_sends(sc), sc.transfer_efficiency
+    g = [aa[i] * c[1 - i] if send[i] else c[i] for i in range(2)]
+    return ((0.0, 1.0, (1.0 + g[1 - ki] * q) / g[ki]),)
+
+
+def level_at(pieces, x) -> float:
+    """Evaluate level pieces at own consumed power x."""
+    _, slope, icpt = pieces[0]
+    for start, s, c in pieces[1:]:
+        if x < start:
+            break
+        slope, icpt = s, c
+    return slope * x + icpt
 
 
 def water_level(model_kind, k, pb1, pb2, sc: Scenario) -> float:
     """Generalized water level v_k = 1/(dR/dpb_k) for node k in {1,2}.
 
     Strictly increasing in own consumed power; +inf where the marginal rate
-    is zero (flat directions of the THC min and zero-efficiency transfers).
+    is zero (flat directions of the THC min).
     """
     _check_powers(pb1, pb2)
-    if k not in (1, 2):
-        raise InputError("node index k must be 1 or 2")
-    n1, n2 = sc.effective_noise_mw
-    a1, a2 = sc.transfer_efficiency
-    pb = (pb1, pb2)
-    nn = (n1, n2)
-    aa = (a1, a2)
-    ki = k - 1
-    j = 1 - ki
-    if model_kind is ModelKind.TWC:
-        regime = twc_transfer(pb1, pb2, sc).regime
-        own = nn[ki] + pb[ki]
-        oth = nn[j] + pb[j]
-        if regime is Regime.NO_TRANSFER:
-            return 2.0 * own
-        if regime in (Regime.INTERIOR_1, Regime.INTERIOR_2):
-            sender = 0 if regime is Regime.INTERIOR_1 else 1
-            if sender == ki:
-                return own + oth / aa[ki]
-            return own + aa[j] * oth
-        sender = 0 if regime is Regime.FULL_1 else 1
-        if sender == ki:
-            return 2.0 * (pb[ki] + oth / aa[ki])
-        return 2.0 * (own + aa[j] * pb[j])
-    if model_kind is ModelKind.THC:
-        w = _thc_weights(sc)
-        if w[ki] * pb[ki] < w[j] * pb[j]:
-            return pb[ki] + aa[j] * pb[j] + nn[ki] + aa[j] * nn[j]
-        if aa[ki] == 0:
-            return math.inf
-        return pb[ki] + pb[j] / aa[ki] + nn[ki] + nn[j] / aa[ki]
-    send1, send2 = mac_sends(sc)
-    c1, c2 = _mac_coeffs(sc)
-    g1 = a1 * c2 if send1 else c1
-    g2 = a2 * c1 if send2 else c2
-    q = g1 * pb1 + g2 * pb2
-    g_own = (g1, g2)[ki]
-    if g_own == 0:
-        return math.inf
-    return (1.0 + q) / g_own
+    own, other = (pb1, pb2) if k == 1 else (pb2, pb1)
+    return level_at(level_pieces(model_kind, k, other, sc), own)

@@ -1,8 +1,8 @@
 """Consumed-power allocation solvers.
 
-Single-node generalized directional water-filling (pool merge with
-bisection on the common level), block coordinate descent across the two
-nodes, a combined-flow refinement for the two-hop min-rate objective, the
+Single-node generalized directional water-filling (pool merge; the
+levels are piecewise affine, so each pool's common level is one linear
+solve), block coordinate descent across the two nodes, a combined-flow refinement for the two-hop min-rate objective, the
 MAC single-pool reduction with a staircase sum-power policy, and the
 finite-battery two-dimensional algorithm with restricted node-to-node
 flows.
@@ -14,28 +14,25 @@ same number.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import transfer
 from .model import (
-    INFINITE,
     DecomposedPolicy,
     InputError,
     ModelKind,
     Scenario,
     TransferPolicy,
-    battery_trace,
     objective as policy_objective,
     recover_transmit_powers,
 )
 
-V_MAX = 1e15
 ENERGY_TOL = 1e-11
-LEVEL_RTOL = 1e-7
 BCD_OBJ_TOL = 1e-10
 BCD_MAX_ITER = 200
 FINITE_MAX_PASSES = 500
@@ -58,21 +55,6 @@ def effective_scenario(sc: Scenario, mode: CooperationMode) -> Scenario:
     elif mode is CooperationMode.NO_COOPERATION:
         a1 = a2 = 0.0
     return sc.with_efficiency(a1, a2)
-
-
-def _unit_slot(sc: Scenario) -> Scenario:
-    """Scale noise by slot length so per-slot energy doubles as power."""
-    if sc.slot_seconds == 1.0:
-        return sc
-    return Scenario(
-        model_kind=sc.model_kind,
-        harvests=np.array(sc.harvests),
-        battery_capacity=np.array(sc.battery_capacity),
-        transfer_efficiency=np.array(sc.transfer_efficiency),
-        channel_gain_db=np.array(sc.channel_gain_db),
-        noise_power_w=np.array(sc.noise_power_w) * sc.slot_seconds,
-        slot_seconds=1.0,
-    )
 
 
 @dataclass(frozen=True)
@@ -104,76 +86,39 @@ class MacReduction:
 
 class _SlotLevel:
     """Water level of one node in one slot as a function of own consumed
-    power, with the other node's power held fixed.  Piecewise linear and
-    strictly increasing (jumping to +inf on flat directions)."""
+    power, with the other node's power held fixed: the affine pieces of
+    transfer.level_pieces, strictly increasing with jumps."""
 
     def __init__(self, model_kind, k, other_power, sc):
-        self.model_kind = model_kind
-        self.k = k  # 1-based node index
-        self.q = float(other_power)
-        self.sc = sc
-        self.bps = self._breakpoints()
-
-    def _breakpoints(self):
-        sc = self.sc
-        ki = self.k - 1
-        j = 1 - ki
-        nn = sc.effective_noise_mw
-        aa = sc.transfer_efficiency
-        q = self.q
-        cands = []
-        if self.model_kind is ModelKind.TWC:
-            if aa[ki] > 0:
-                base = (nn[j] + q) / aa[ki]
-                cands += [base - nn[ki], nn[ki] - base]
-            if aa[j] > 0:
-                cands += [aa[j] * (nn[j] + q) - nn[ki], aa[j] * (nn[j] - q) - nn[ki]]
-        elif self.model_kind is ModelKind.THC:
-            w_own = nn[j]   # w_k proportional to the other node's noise
-            w_oth = nn[ki]
-            cands.append(w_oth * q / w_own)
-        return sorted({b for b in cands if b > 1e-15 and math.isfinite(b)})
+        self.pieces = transfer.level_pieces(model_kind, k, float(other_power), sc)
+        self.ends = [piece[0] for piece in self.pieces[1:]] + [math.inf]
 
     def v(self, p):
-        if self.k == 1:
-            return transfer.water_level(self.model_kind, 1, p, self.q, self.sc)
-        return transfer.water_level(self.model_kind, 2, self.q, p, self.sc)
-
-    def _segment_invert(self, lo, hi, target):
-        """Invert within a linear segment (lo, hi]; hi may be None (open)."""
-        if hi is None:
-            s1, s2 = lo + 1.0, lo + 2.0
-        else:
-            width = hi - lo
-            if width < 1e-12:
-                return hi
-            s1, s2 = lo + 0.3 * width, lo + 0.7 * width
-        v1, v2 = self.v(s1), self.v(s2)
-        if math.isinf(v1) or math.isinf(v2):
-            return lo  # flat direction: marginal rate is zero past lo
-        slope = (v2 - v1) / (s2 - s1)
-        if slope <= 0:
-            return hi if hi is not None else lo
-        p = s1 + (target - v1) / slope
-        if hi is not None:
-            p = min(max(p, lo), hi)
-        else:
-            p = max(p, lo)
-        return p
+        return transfer.level_at(self.pieces, p)
 
     def inv(self, target):
-        """Largest p with v(p) <= target (0 if the level starts above it)."""
-        if target >= V_MAX:
-            target = V_MAX
-        if self.v(0.0) >= target:
-            return 0.0
-        prev = 0.0
-        for b in self.bps:
-            vb = self.v(b)
-            if vb >= target:
-                return self._segment_invert(prev, b, target)
-            prev = b
-        return self._segment_invert(prev, None, target)
+        """Largest p with v(p) <= target: solve the piece that contains the
+        target, or return the piece start when the target falls in a jump."""
+        for (start, slope, icpt), end in zip(self.pieces, self.ends):
+            if target <= slope * start + icpt:
+                return start
+            p = max((target - icpt) / slope, start)  # monotone despite rounding
+            if p < end:
+                return p
+
+    def cap(self):
+        """The most power the slot can use: the start of a flat piece."""
+        start, _, icpt = self.pieces[-1]
+        return start if math.isinf(icpt) else math.inf
+
+    def knots(self):
+        """Levels where inv changes slope: each finite piece's value at its
+        start and its left limit at its end."""
+        out = []
+        for (start, slope, icpt), end in zip(self.pieces, self.ends):
+            if math.isfinite(icpt):
+                out += [slope * start + icpt, slope * end + icpt]
+        return [x for x in out if math.isfinite(x)]
 
 
 def _slot_levels(model_kind, k, other_powers, sc):
@@ -185,47 +130,46 @@ def _slot_levels(model_kind, k, other_powers, sc):
 
 
 def _solve_pool(slots, levels, budget):
-    """Allocate `budget` across pool `slots` at a common level.
+    """Allocate `budget` across pool `slots` at the lowest common level that
+    absorbs it.
 
-    Returns (powers, level, surplus); surplus > 0 when every slot is on a
-    flat direction and the pool cannot absorb the budget.
+    The pool's total inverse is continuous, non-decreasing and piecewise
+    affine in the level, so bracketing the budget between two sorted knots
+    leaves one linear solve.  Returns (powers, level, surplus); surplus > 0
+    when the slots' flat directions cap the pool below the budget.
     """
-    m = len(slots)
+    pool = [levels[i] for i in slots]
     if budget <= ENERGY_TOL:
-        return [0.0] * m, 0.0, 0.0
-    caps = [levels[i].inv(V_MAX) for i in slots]
+        return [0.0] * len(pool), 0.0, 0.0
+    caps = [lev.cap() for lev in pool]
     cap_total = sum(caps)
     if cap_total < budget - ENERGY_TOL:
-        return caps, V_MAX, budget - cap_total
-    # slot i alone absorbs the whole budget at level v_i(budget), so the
-    # common level is at most the smallest finite such value
-    hi = math.inf
-    for i in slots:
-        vb = levels[i].v(budget)
-        if math.isfinite(vb):
-            hi = min(hi, vb)
-    hi = hi + 1e-9 if math.isfinite(hi) else V_MAX
-    lo = 0.0
-    for _ in range(90):
-        mid = 0.5 * (lo + hi)
-        g = sum(levels[i].inv(mid) for i in slots)
-        if g < budget:
-            lo = mid
-        else:
-            hi = mid
-    powers = [levels[i].inv(hi) for i in slots]
-    total = sum(powers)
-    if total > 0:
-        scale = budget / total
-        powers = [p * scale for p in powers]
-    return powers, hi, 0.0
+        return caps, math.inf, budget - cap_total
+
+    def fill(level):
+        return sum(lev.inv(level) for lev in pool)
+
+    knots = sorted({x for lev in pool for x in lev.knots()})
+    i = bisect.bisect_left(knots, budget, key=fill)
+    if i < len(knots):
+        lo, hi = knots[i - 1], knots[i]
+        f_lo, f_hi = fill(lo), fill(hi)
+        level = lo + (budget - f_lo) * (hi - lo) / (f_hi - f_lo)
+    else:
+        # past the last knot only unbounded last pieces still rise; with none
+        # the budget is within ENERGY_TOL of the caps
+        level = knots[-1]
+        rise = sum(1.0 / lev.pieces[-1][1] for lev in pool if math.isinf(lev.cap()))
+        if rise > 0:
+            level += (budget - fill(level)) / rise
+    return [lev.inv(level) for lev in pool], level, 0.0
 
 
 def _dwf_single(budgets, levels):
     """Forward pool-merge directional water-filling for one node.
 
     budgets[i] is the energy arriving at slot i; levels[i] the slot's
-    monotone level function.  Returns (powers, pool level per slot).
+    monotone level function.  Returns the consumed power per slot.
     """
     n = len(budgets)
     pools = []  # dicts: start, end, budget, powers, level
@@ -249,13 +193,10 @@ def _dwf_single(budgets, levels):
                           "budget": b - surplus, "powers": powers, "level": level})
             if surplus > 0 and top["end"] < n - 1:
                 carry += surplus
-    powers = np.zeros(n)
-    pool_levels = np.zeros(n)
+    out = np.zeros(n)
     for pool in pools:
-        for off, i in enumerate(range(pool["start"], pool["end"] + 1)):
-            powers[i] = pool["powers"][off]
-            pool_levels[i] = pool["level"]
-    return powers, pool_levels
+        out[pool["start"]:pool["end"] + 1] = pool["powers"]
+    return out
 
 
 def dwf_node(k, consumed_other, sc: Scenario,
@@ -265,7 +206,7 @@ def dwf_node(k, consumed_other, sc: Scenario,
     if not all(math.isinf(c) for c in sc.battery_capacity):
         raise InputError("dwf_node requires INFINITE battery capacities")
     eff = effective_scenario(sc, mode)
-    ssc = _unit_slot(eff)
+    ssc = eff.unit_slot()
     dt = sc.slot_seconds
     other = np.asarray(consumed_other, dtype=float) * dt  # mW -> per-slot mJ
     if other.shape != (sc.n_slots,):
@@ -273,8 +214,7 @@ def dwf_node(k, consumed_other, sc: Scenario,
     if np.any(other < 0):
         raise InputError("consumed_other must be non-negative")
     levels = _slot_levels(ssc.model_kind, k, other, ssc)
-    powers, _ = _dwf_single(ssc.harvests[k - 1], levels)
-    return powers / dt
+    return _dwf_single(ssc.harvests[k - 1], levels) / dt
 
 
 # ---------------------------------------------------------------------------
@@ -284,25 +224,18 @@ def dwf_node(k, consumed_other, sc: Scenario,
 def _level_interval(model_kind, ki, pb1, pb2, ssc):
     """Admissible water-level interval for node ki at one slot.
 
-    A point except at the two-hop kink (equal weighted powers), where the
-    level is set-valued between the receiving- and sending-side formulas.
+    A point except at a jump of the level pieces (the two-hop kink), where
+    the level is set-valued between the left and right limits.  A power
+    within 1e-9 relative of a piece start counts as on it.
     """
-    if model_kind is ModelKind.THC:
-        nn = ssc.effective_noise_mw
-        aa = ssc.transfer_efficiency
-        pb = (pb1, pb2)
-        j = 1 - ki
-        w_own, w_oth = nn[j], nn[ki]  # w_k proportional to the other noise
-        diff = w_own * pb[ki] - w_oth * pb[j]
-        scale = max(1.0, w_own * pb[ki], w_oth * pb[j])
-        if abs(diff) <= 1e-9 * scale:
-            lo = pb[ki] + aa[j] * pb[j] + nn[ki] + aa[j] * nn[j]
-            if aa[ki] == 0:
-                hi = math.inf
-            else:
-                hi = pb[ki] + pb[j] / aa[ki] + nn[ki] + nn[j] / aa[ki]
-            return lo, hi
-    v = transfer.water_level(model_kind, ki + 1, pb1, pb2, ssc)
+    pb = (pb1, pb2)
+    x = pb[ki]
+    pieces = transfer.level_pieces(model_kind, ki + 1, pb[1 - ki], ssc)
+    for (_, s_left, c_left), (start, s_right, c_right) in zip(pieces, pieces[1:]):
+        if abs(x - start) <= 1e-9 * max(1.0, x):
+            left, right = s_left * x + c_left, s_right * x + c_right
+            return min(left, right), max(left, right)
+    v = transfer.level_at(pieces, x)
     return v, v
 
 
@@ -397,47 +330,56 @@ def _build_report(sc, eff, ssc, pb, mode, iterations, converged, trace,
 
 def _dwf_full(ki, pb, ssc):
     levels = _slot_levels(ssc.model_kind, ki + 1, pb[1 - ki], ssc)
-    pb[ki], _ = _dwf_single(ssc.harvests[ki], levels)
+    pb[ki] = _dwf_single(ssc.harvests[ki], levels)
+
+
+def _search_move(base, tmax, apply_fn, objective_fn):
+    """Probe-then-ternary maximization of a concave move t -> apply_fn(t) on
+    [0, tmax]; returns (improved allocation or None, its objective)."""
+    if tmax <= 1e-13:
+        return None, base
+    # the move value is concave in t, so a non-improving probe near zero
+    # rules the whole move out cheaply
+    if max(objective_fn(apply_fn(1e-5 * tmax)),
+           objective_fn(apply_fn(0.05 * tmax))) <= base + 1e-13:
+        return None, base
+    lo, hi = 0.0, tmax
+    for _ in range(55):
+        m1 = lo + (hi - lo) / 3.0
+        m2 = hi - (hi - lo) / 3.0
+        if objective_fn(apply_fn(m1)) < objective_fn(apply_fn(m2)):
+            lo = m1
+        else:
+            hi = m2
+    trial = apply_fn(0.5 * (lo + hi))
+    val = objective_fn(trial)
+    if val > base + 1e-12:
+        return trial, val
+    return None, base
 
 
 def _joint_polish(pb, ssc):
     """Escape kink stalls of the nonsmooth two-hop objective: line-search a
     forward inter-slot move of one node while re-solving the other node's
     whole allocation, which lets both fluids shift together."""
-    model = ssc.model_kind
-    n = ssc.n_slots
-    base = _capacity_objective(model, pb, ssc)
+    def obj(trial):
+        return _capacity_objective(ssc.model_kind, trial, ssc)
+
+    base = obj(pb)
     improved = False
     for k in range(2):
-        j = 1 - k
-        for i in range(n - 1):
-            tmax = pb[k, i]
-            if tmax <= 1e-13:
-                continue
+        for i in range(ssc.n_slots - 1):
 
-            def evaluate(t):
+            def move(t, k=k, i=i):
                 trial = pb.copy()
                 trial[k, i] -= t
                 trial[k, i + 1] += t
-                _dwf_full(j, trial, ssc)
-                return _capacity_objective(model, trial, ssc), trial
+                _dwf_full(1 - k, trial, ssc)
+                return trial
 
-            # the inner maximization makes the move value concave in t, so a
-            # non-improving probe near zero rules the whole pair out cheaply
-            if max(evaluate(1e-5 * tmax)[0], evaluate(0.05 * tmax)[0]) <= base + 1e-13:
-                continue
-            lo, hi = 0.0, tmax
-            for _ in range(55):
-                m1 = lo + (hi - lo) / 3.0
-                m2 = hi - (hi - lo) / 3.0
-                if evaluate(m1)[0] < evaluate(m2)[0]:
-                    lo = m1
-                else:
-                    hi = m2
-            val, trial = evaluate(0.5 * (lo + hi))
-            if val > base + 1e-12:
+            trial, base = _search_move(base, pb[k, i], move, obj)
+            if trial is not None:
                 pb[:, :] = trial
-                base = val
                 improved = True
     return improved
 
@@ -446,7 +388,7 @@ def _bcd(sc, mode, use_fluid):
     if not all(math.isinf(c) for c in sc.battery_capacity):
         raise InputError("infinite-battery solver called with finite capacity")
     eff = effective_scenario(sc, mode)
-    ssc = _unit_slot(eff)
+    ssc = eff.unit_slot()
     model = ssc.model_kind
     n = ssc.n_slots
     pb = np.array(ssc.harvests, dtype=float)
@@ -560,28 +502,24 @@ def staircase(aggregate, capacity) -> np.ndarray:
 
 
 def mac_solve(sc: Scenario, mode: CooperationMode = CooperationMode.BIDIRECTIONAL) -> SolveReport:
-    """MAC solver via the single-pool reduction and staircase sum power.
+    """MAC solver via the single-pool reduction and staircase sum power;
+    infinite batteries only (finite capacities go through dwf_finite).
 
     Pooling is done in SNR-weighted units (each user's energy scaled by its
-    best per-mJ rate coefficient) so the reduction matches the direct
-    solver exactly even for unequal channels.
+    best per-mJ rate coefficient c_k*a_k*) so the reduction matches the
+    direct solver exactly even for unequal channels.
     """
     if sc.model_kind is not ModelKind.MAC:
         raise InputError("mac_solve requires a MAC scenario")
+    if not all(math.isinf(c) for c in sc.battery_capacity):
+        raise InputError("mac_solve requires INFINITE battery capacities")
     eff = effective_scenario(sc, mode)
-    ssc = _unit_slot(eff)
+    ssc = eff.unit_slot()
     n = ssc.n_slots
-    n1, n2 = ssc.effective_noise_mw
-    c = (1.0 / n1, 1.0 / n2)
-    send = transfer.mac_sends(ssc)
-    a = ssc.transfer_efficiency
-    wgt = tuple(a[k] * c[1 - k] if send[k] else c[k] for k in range(2))
-    pool = wgt[0] * ssc.harvests[0] + wgt[1] * ssc.harvests[1]
-    cap = ssc.battery_capacity
-    pool_cap = math.inf if any(math.isinf(x) for x in cap) \
-        else wgt[0] * cap[0] + wgt[1] * cap[1]
-    s = staircase(pool, pool_cap)
-    order = sorted(range(2), key=lambda k: (not send[k], k))
+    astar = mac_reduce(ssc).alpha_star
+    wgt = astar / ssc.effective_noise_mw
+    s = staircase(wgt @ ssc.harvests, math.inf)
+    order = sorted(range(2), key=lambda k: (astar[k] == 1.0, k))  # senders first
     pb = np.zeros((2, n))
     spent = [0.0, 0.0]
     cum = [0.0, 0.0]
@@ -741,7 +679,7 @@ def dwf_finite(sc: Scenario, mode: CooperationMode = CooperationMode.BIDIRECTION
     if all(math.isinf(c) for c in sc.battery_capacity):
         raise InputError("dwf_finite requires at least one finite capacity")
     eff = effective_scenario(sc, mode)
-    ssc = _unit_slot(eff)
+    ssc = eff.unit_slot()
     n = ssc.n_slots
     pb = np.array(ssc.harvests, dtype=float)
     eps = np.zeros((2, n))
@@ -776,29 +714,6 @@ def _resolve_node_finite(ki, pb, eps, ssc):
     if np.all(arr >= 0):
         pb[ki] = arr.copy()
     _horizontal_pass(ki, pb, eps, ssc)
-
-
-def _search_move(pb, base, tmax, apply_fn, objective_fn):
-    """Probe-then-ternary maximization of a concave move; returns the
-    improved allocation or None."""
-    if tmax <= 1e-13:
-        return None, base
-    if max(objective_fn(apply_fn(1e-5 * tmax)),
-           objective_fn(apply_fn(0.05 * tmax))) <= base + 1e-13:
-        return None, base
-    lo, hi = 0.0, tmax
-    for _ in range(55):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if objective_fn(apply_fn(m1)) < objective_fn(apply_fn(m2)):
-            lo = m1
-        else:
-            hi = m2
-    trial = apply_fn(0.5 * (lo + hi))
-    val = objective_fn(trial)
-    if val > base + 1e-12:
-        return trial, val
-    return None, base
 
 
 def _joint_polish_finite(pb, eps, ssc):
@@ -842,9 +757,9 @@ def _joint_polish_finite(pb, eps, ssc):
                 _resolve_node_finite(j, trial, eps, ssc)
                 return trial
 
-            trial, base2 = _search_move(pb, base, min(pb[k, i], room), fwd, obj)
+            trial, base2 = _search_move(base, min(pb[k, i], room), fwd, obj)
             if trial is None:
-                trial, base2 = _search_move(pb, base, min(pb[k, m], stored), bwd, obj)
+                trial, base2 = _search_move(base, min(pb[k, m], stored), bwd, obj)
             if trial is not None:
                 pb[:, :] = trial
                 base = base2
@@ -874,9 +789,9 @@ def _joint_polish_finite(pb, eps, ssc):
 
             tf = min(pb[0, i], rooms[0], pb[1, i] / ratio, rooms[1] / ratio)
             tb = min(pb[0, m], stores[0], pb[1, m] / ratio, stores[1] / ratio)
-            trial, base2 = _search_move(pb, base, tf, jf, obj)
+            trial, base2 = _search_move(base, tf, jf, obj)
             if trial is None:
-                trial, base2 = _search_move(pb, base, tb, jb, obj)
+                trial, base2 = _search_move(base, tb, jb, obj)
             if trial is not None:
                 pb[:, :] = trial
                 base = base2

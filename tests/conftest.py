@@ -5,9 +5,12 @@ effective noise of exactly 1 mW per node, so hand-computed rates stay
 simple.
 """
 
+import math
+
 import numpy as np
 
 from ehcoop.model import INFINITE, ModelKind, Scenario
+from ehcoop.transfer import mac_sends, twc_transfer
 
 
 def make_scenario(model=ModelKind.TWC, harvests=((2.0, 5.0, 0.0, 0.0), (0.0, 4.0, 0.0, 7.0)),
@@ -22,6 +25,28 @@ def make_scenario(model=ModelKind.TWC, harvests=((2.0, 5.0, 0.0, 0.0), (0.0, 4.0
         noise_power_w=np.asarray(noise_w, dtype=float),
         slot_seconds=slot_seconds,
     )
+
+
+def level_rate(model_kind, pb1, pb2, sc):
+    """The per-slot objective whose inverse marginal is the water level.
+
+    For the TWC this is the slot capacity itself.  For the THC and MAC the
+    level formulas drop the 1/2 factor of the capacity, so this surrogate is
+    exactly twice the capacity; the maximizers coincide.
+    """
+    n1, n2 = sc.effective_noise_mw
+    a1, a2 = sc.transfer_efficiency
+    if model_kind is ModelKind.TWC:
+        return twc_transfer(pb1, pb2, sc).rate_nats
+    if model_kind is ModelKind.THC:
+        t1 = (pb1 + a2 * pb2) / (n1 + a2 * n2)
+        t2 = (a1 * pb1 + pb2) / (n2 + a1 * n1)
+        return math.log1p(min(t1, t2))
+    send1, send2 = mac_sends(sc)
+    c1, c2 = 1.0 / n1, 1.0 / n2
+    g1 = a1 * c2 if send1 else c1
+    g2 = a2 * c1 if send2 else c2
+    return math.log1p(g1 * pb1 + g2 * pb2)
 
 
 def random_scenario(rng, model, finite=False, n_max=4, quantum=0.02):

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_scenario, random_feasible_policy, random_scenario
+from conftest import level_rate, make_scenario, random_feasible_policy, random_scenario
 from ehcoop import cli, harness
 from ehcoop.model import (
     INFINITE,
@@ -22,7 +22,7 @@ from ehcoop.model import (
     recover_transmit_powers,
 )
 from ehcoop.oracle import DpConfig, dp_solve, grid_transfer_max
-from ehcoop.transfer import Regime, level_rate, slot_transfer, water_level
+from ehcoop.transfer import Regime, slot_transfer, water_level
 from ehcoop.waterfill import CooperationMode, bcd_solve, mac_solve, solve, staircase
 
 QUANTUM = 0.02

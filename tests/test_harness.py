@@ -158,6 +158,24 @@ class TestCli:
         cfg = write_json(tmp_path, "sc.json", d)
         assert cli.main(["solve", "--config", cfg]) == 1
 
+    def test_non_numeric_harvests_is_input_error(self, tmp_path, capsys):
+        cfg = write_json(tmp_path, "sc.json", dict(VALID_SCENARIO, harvests_mJ="abc"))
+        assert cli.main(["solve", "--config", cfg]) == 1
+        assert "error: harvests" in capsys.readouterr().err
+
+    def test_sweep_invalid_json_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "sweep.json"
+        path.write_text("{not json")
+        assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 1
+        assert "error: sweep file is not valid JSON" in capsys.readouterr().err
+
+    def test_sweep_non_numeric_values_is_input_error(self, tmp_path, capsys):
+        sweep = {"base_scenario": VALID_SCENARIO, "swept_parameter": "alpha1",
+                 "values": ["high"]}
+        cfg = write_json(tmp_path, "sweep.json", sweep)
+        assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_verify_passes(self, tmp_path, capsys):
         d = dict(VALID_SCENARIO, harvests_mJ=[[0.4, 1.0], [0.2, 0.6]])
         cfg = write_json(tmp_path, "sc.json", d)

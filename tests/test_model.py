@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -44,6 +45,31 @@ class TestScenarioValidation:
     def test_nonpositive_noise_rejected(self):
         with pytest.raises(InputError):
             make_scenario(noise_w=(0.0, 1e-13))
+
+    @pytest.mark.parametrize("field, value", [
+        ("harvests", ((math.nan, 1.0), (0.0, 1.0))),
+        ("harvests", ((math.inf, 1.0), (0.0, 1.0))),
+        ("alpha", (math.nan, 0.5)),
+        ("gain_db", (math.inf, -100.0)),
+        ("gain_db", (-math.inf, -100.0)),
+        ("noise_w", (math.nan, 1e-13)),
+        ("noise_w", (math.inf, 1e-13)),
+        ("slot_seconds", math.inf),
+        ("slot_seconds", math.nan),
+        ("capacity", (math.nan, INFINITE)),
+        ("capacity", (-math.inf, INFINITE)),
+    ])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(InputError):
+            make_scenario(**{field: value})
+
+    def test_non_numeric_rejected(self):
+        with pytest.raises(InputError, match="harvests must be numeric"):
+            dataclasses.replace(make_scenario(), harvests="abc")
+
+    def test_infinite_capacity_accepted(self):
+        sc = make_scenario(capacity=(INFINITE, 3.0))
+        assert math.isinf(sc.battery_capacity[0])
 
 
 class TestBatteryTrace:

@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_scenario
+from conftest import level_rate, make_scenario
 from ehcoop.model import ModelKind
 from ehcoop.transfer import (
     Regime,
     applied_rate,
-    level_rate,
     mac_transfer,
     slot_transfer,
     thc_transfer,

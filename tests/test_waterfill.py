@@ -13,6 +13,7 @@ from ehcoop.model import (
     check_procrastinating,
     objective,
 )
+from ehcoop.transfer import level_at, level_pieces
 from ehcoop.waterfill import (
     CooperationMode,
     bcd_solve,
@@ -29,6 +30,34 @@ from ehcoop.waterfill import (
 def single_node_sc(harvests1, model=ModelKind.TWC):
     zeros = tuple(0.0 for _ in harvests1)
     return make_scenario(model=model, harvests=(tuple(harvests1), zeros), alpha=(0.0, 0.0))
+
+
+def assert_directional_water_filling(k, other, sc):
+    """dwf_node's powers use the whole budget causally, and their levels are
+    equal within each pool (run of slots ending with an empty battery) and
+    non-decreasing across pools; an idle slot starts at or above its pool's
+    level.  A level at a jump is the interval between its limits, so a
+    common selection must exist."""
+    p = dwf_node(k, other, sc)
+    harv = sc.harvests[k - 1]
+    cum_p, cum_h = np.cumsum(p), np.cumsum(harv)
+    assert np.all(cum_p <= cum_h + 1e-9)
+    assert cum_p[-1] == pytest.approx(cum_h[-1], abs=1e-9)
+    pieces = [level_pieces(sc.model_kind, k, q, sc) for q in other]
+    ends = [i for i in range(sc.n_slots - 1) if cum_h[i] - cum_p[i] <= 1e-9]
+    prev = 0.0
+    for lo, hi in zip([0] + [e + 1 for e in ends], ends + [sc.n_slots - 1]):
+        pool = range(lo, hi + 1)
+        busy = [i for i in pool if p[i] > 1e-12]
+        if not busy:
+            continue
+        # the lowest level selection that is common to the pool and not
+        # below the previous pool's
+        level = max([prev] + [level_at(pieces[i], p[i] * (1 - 1e-9)) for i in busy])
+        assert level <= min(level_at(pieces[i], p[i] * (1 + 1e-9)) for i in busy) * (1 + 1e-9)
+        for i in set(pool) - set(busy):
+            assert level_at(pieces[i], 0.0) >= level * (1 - 1e-9)
+        prev = level
 
 
 class TestDwfNode:
@@ -62,6 +91,34 @@ class TestDwfNode:
             harv = np.cumsum(sc.harvests[0])
             assert np.all(cum <= harv + 1e-9)
             assert cum[-1] == pytest.approx(harv[-1], abs=1e-8)
+
+    @pytest.mark.parametrize("model, alpha, gain_db, harvests1, other", [
+        (ModelKind.TWC, (0.5, 0.5), (-100.0, -100.0), (2.0, 5.0, 0.0, 0.0), (0.0, 1.0, 3.0, 0.5)),
+        (ModelKind.TWC, (0.9, 0.3), (-101.0, -98.0), (0.5, 4.0, 1.0, 2.0), (6.0, 0.0, 0.2, 2.0)),
+        (ModelKind.MAC, (0.5, 0.5), (-100.0, -110.0), (2.0, 5.0, 0.0, 1.0), (1.0, 0.0, 4.0, 0.5)),
+        (ModelKind.THC, (0.5, 0.5), (-100.0, -100.0), (4.0, 0.0, 2.0, 6.0), (0.0, 3.0, 1.0, 0.5)),
+        # a_1 = 0: node 1's level is flat past the kink at its relay's power
+        (ModelKind.THC, (0.0, 0.5), (-100.0, -100.0), (1.0, 0.5, 4.0, 0.0), (2.0, 1.0, 3.0, 1.0)),
+        # every slot's budget equals its capacity, and so does the pool's
+        (ModelKind.THC, (0.0, 0.5), (-100.0, -100.0), (2.0, 1.0, 3.0, 0.5), (2.0, 1.0, 3.0, 0.5)),
+        # a budget above the capacity by less than the solver's energy tolerance
+        (ModelKind.THC, (0.0, 0.5), (-100.0, -100.0), (2.0 + 5e-12, 1.0, 3.0, 0.5),
+         (2.0, 1.0, 3.0, 0.5)),
+        # capped slots carry their surplus on, past the capped pool [0, 1]
+        (ModelKind.THC, (0.0, 0.5), (-100.0, -100.0), (3.0, 0.0, 10.0, 0.0), (2.0, 0.5, 20.0, 1.0)),
+    ])
+    def test_pool_levels(self, model, alpha, gain_db, harvests1, other):
+        sc = make_scenario(model=model, alpha=alpha, gain_db=gain_db,
+                           harvests=(harvests1, (1.0,) * len(harvests1)))
+        assert_directional_water_filling(1, np.array(other), sc)
+
+    def test_pool_levels_random(self):
+        rng = np.random.default_rng(59)
+        for model in ModelKind:
+            for _ in range(10):
+                sc = random_scenario(rng, model)
+                other = rng.uniform(0, 0.2, size=sc.n_slots)
+                assert_directional_water_filling(int(rng.integers(1, 3)), other, sc)
 
 
 class TestStaircase:
@@ -164,6 +221,11 @@ class TestMacSolve:
             via_reduction = mac_solve(sc).objective_nats
             direct = bcd_solve(sc).objective_nats
             assert via_reduction == pytest.approx(direct, rel=1e-6, abs=1e-9)
+
+    def test_rejects_finite_capacity(self):
+        sc = make_scenario(model=ModelKind.MAC, capacity=(5.0, INFINITE))
+        with pytest.raises(InputError, match="INFINITE"):
+            mac_solve(sc)
 
 
 class TestDwfFinite:
