@@ -264,10 +264,10 @@ def emit(obj, fmt, path):
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["swept_value", "mode", "mean_nats", "mean_bits",
-                             "trials", "seed"])
+                             "trials", "seed", "converged"])
             for r in obj:
                 writer.writerow([repr(r.swept_value), r.mode, repr(r.mean_nats),
-                                 repr(r.mean_bits), r.trials, r.seed])
+                                 repr(r.mean_bits), r.trials, r.seed, r.converged])
     else:
         raise InputError(f"unknown output format {fmt!r}")
 

@@ -93,9 +93,11 @@ class Scenario:
         dt = float(_floats(self.slot_seconds, "slot_seconds"))
         if not dt > 0:
             raise InputError("slot_seconds must be positive")
-        gain_lin = 10.0 ** (gain_db / 10.0)
-        # n_k = sigma_j^2 / h_k, in mW; the noise floor seen by node k's signal.
-        eff = np.array([noise[1] / gain_lin[0], noise[0] / gain_lin[1]]) * 1e3
+        # an absurd gain overflows to inf or 0 here, and is rejected just below
+        with np.errstate(over="ignore", divide="ignore"):
+            gain_lin = 10.0 ** (gain_db / 10.0)
+            # n_k = sigma_j^2 / h_k, in mW; the noise floor seen by node k's signal.
+            eff = np.array([noise[1] / gain_lin[0], noise[0] / gain_lin[1]]) * 1e3
         if not (np.isfinite(eff).all() and (eff > 0).all()):
             raise InputError("channel gains and noise powers must give a positive, "
                              "finite effective noise")

@@ -2,10 +2,12 @@
 
 Single-node generalized directional water-filling (pool merge; the
 levels are piecewise affine, so each pool's common level is one linear
-solve), block coordinate descent across the two nodes, a combined-flow refinement for the two-hop min-rate objective, the
-MAC single-pool reduction with a staircase sum-power policy, and the
-finite-battery two-dimensional algorithm with restricted node-to-node
-flows.
+solve), block coordinate descent across the two nodes, a combined-flow
+refinement for the two-hop min-rate objective, and the MAC single-pool
+reduction with a staircase sum-power policy.  With finite batteries each
+node's allocation is the taut string between its cumulative arrivals and
+the overflow floor, over the exact per-slot levels, and the nodes are
+solved alternately.
 
 Solvers operate internally on a unit-slot copy of the scenario (noise
 scaled by slot length) so that consumed power and per-slot energy are the
@@ -36,6 +38,7 @@ ENERGY_TOL = 1e-11
 BCD_OBJ_TOL = 1e-10
 BCD_MAX_ITER = 200
 FINITE_MAX_PASSES = 500
+GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class CooperationMode(enum.Enum):
@@ -239,16 +242,13 @@ def _level_interval(model_kind, ki, pb1, pb2, ssc):
     return v, v
 
 
-def _node_level_residual(model_kind, ki, pb, ssc, stored_offset=None):
+def _node_level_residual(model_kind, ki, pb, ssc):
     """Max relative violation of the directional-level certificate for one
     node: a non-decreasing level selection must exist, with increases only
     after empty-battery slots and decreases only after full-battery slots."""
     n = pb.shape[1]
     cap = ssc.battery_capacity[ki]
-    arr = np.array(ssc.harvests[ki])
-    if stored_offset is not None:
-        arr = arr + stored_offset
-    state = np.cumsum(arr - pb[ki])
+    state = np.cumsum(ssc.harvests[ki] - pb[ki])
     pinned = []
     for i in range(n):
         if pb[ki][i] <= 1e-12:
@@ -296,8 +296,7 @@ def _capacity_objective(model_kind, pb, ssc):
     return total
 
 
-def _build_report(sc, eff, ssc, pb, mode, iterations, converged, trace,
-                  stored=None):
+def _build_report(sc, eff, ssc, pb, mode, iterations, converged, trace):
     """Assemble a SolveReport from converged consumed energies (2xN, mJ)."""
     n = sc.n_slots
     dt = sc.slot_seconds
@@ -305,19 +304,11 @@ def _build_report(sc, eff, ssc, pb, mode, iterations, converged, trace,
     for i in range(n):
         st = transfer.slot_transfer(ssc.model_kind, pb[0, i], pb[1, i], ssc)
         gamma[0, i], gamma[1, i] = st.delta
-    eps = np.zeros((2, n)) if stored is None else np.array(stored)
-    dp = DecomposedPolicy(consumed=pb / dt, immediate=gamma, stored=eps)
+    dp = DecomposedPolicy(consumed=pb / dt, immediate=gamma, stored=np.zeros((2, n)))
     transmit = recover_transmit_powers(dp, eff)
     obj = policy_objective(transmit, eff)
     levels = _levels_at(ssc.model_kind, pb, ssc)
-    offsets = []
-    alpha = eff.transfer_efficiency
-    for ki in range(2):
-        offsets.append(alpha[1 - ki] * eps[1 - ki] - eps[ki])
-    residual = max(
-        _node_level_residual(ssc.model_kind, ki, pb, ssc, stored_offset=offsets[ki])
-        for ki in range(2)
-    )
+    residual = max(_node_level_residual(ssc.model_kind, ki, pb, ssc) for ki in range(2))
     return SolveReport(policy=dp, transmit=transmit, objective_nats=obj,
                        levels=levels, bcd_iterations=iterations,
                        level_residual=residual, mode=mode, converged=converged,
@@ -329,30 +320,45 @@ def _build_report(sc, eff, ssc, pb, mode, iterations, converged, trace,
 
 
 def _dwf_full(ki, pb, ssc):
+    """Re-solve node ki's whole allocation with the other node's held fixed.
+    With any finite battery every arrival is consumed by the last slot."""
     levels = _slot_levels(ssc.model_kind, ki + 1, pb[1 - ki], ssc)
-    pb[ki] = _dwf_single(ssc.harvests[ki], levels)
+    if all(math.isinf(c) for c in ssc.battery_capacity):
+        pb[ki] = _dwf_single(ssc.harvests[ki], levels)
+    else:
+        pb[ki] = _dwf_bounded(ssc.harvests[ki], ssc.battery_capacity[ki], levels)
 
 
 def _search_move(base, tmax, apply_fn, objective_fn):
-    """Probe-then-ternary maximization of a concave move t -> apply_fn(t) on
-    [0, tmax]; returns (improved allocation or None, its objective)."""
+    """Probe-then-golden-section maximization of a concave move
+    t -> apply_fn(t) on [0, tmax]; returns (improved allocation or None, its
+    objective)."""
     if tmax <= 1e-13:
         return None, base
+
+    def probe(t):
+        trial = apply_fn(t)
+        return objective_fn(trial), trial
+
     # the move value is concave in t, so a non-improving probe near zero
     # rules the whole move out cheaply
-    if max(objective_fn(apply_fn(1e-5 * tmax)),
-           objective_fn(apply_fn(0.05 * tmax))) <= base + 1e-13:
+    if max(probe(1e-5 * tmax)[0], probe(0.05 * tmax)[0]) <= base + 1e-13:
         return None, base
+    # each step keeps one interior probe and adds one; the better of the last
+    # two lies in an interval narrowed 47 times, to GOLDEN**47 < 2e-10 of tmax
     lo, hi = 0.0, tmax
-    for _ in range(55):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if objective_fn(apply_fn(m1)) < objective_fn(apply_fn(m2)):
-            lo = m1
+    m1, m2 = (1.0 - GOLDEN) * tmax, GOLDEN * tmax
+    f1, f2 = probe(m1), probe(m2)
+    for _ in range(46):
+        if f1[0] < f2[0]:
+            lo, m1, f1 = m1, m2, f2
+            m2 = lo + GOLDEN * (hi - lo)
+            f2 = probe(m2)
         else:
-            hi = m2
-    trial = apply_fn(0.5 * (lo + hi))
-    val = objective_fn(trial)
+            hi, m2, f2 = m2, m1, f1
+            m1 = hi - GOLDEN * (hi - lo)
+            f1 = probe(m1)
+    val, trial = f2 if f1[0] < f2[0] else f1
     if val > base + 1e-12:
         return trial, val
     return None, base
@@ -539,185 +545,95 @@ def mac_solve(sc: Scenario, mode: CooperationMode = CooperationMode.BIDIRECTIONA
 
 
 # ---------------------------------------------------------------------------
-# finite battery: 2D directional water-filling with restricted transfers
+# finite battery: capacity-bounded directional water-filling
 
 
-def _finite_states(pb, eps, ssc):
-    """Battery state per node from consumed energies and stored transfers."""
-    alpha = ssc.transfer_efficiency
-    states = np.zeros((2, ssc.n_slots))
-    for ki in range(2):
-        arr = ssc.harvests[ki] + alpha[1 - ki] * eps[1 - ki] - eps[ki]
-        states[ki] = np.cumsum(arr - pb[ki])
-    return states
+def _segment(slots, levels, budget):
+    """Rank and powers of one taut-string segment holding `budget`: its pool
+    level, or (inf, surplus per slot) when the slots' flat directions cap it
+    below the budget and the surplus is spread evenly over them."""
+    powers, level, surplus = _solve_pool(slots, levels, budget)
+    if surplus > 0:
+        spread = surplus / len(powers)
+        return (math.inf, spread), [p + spread for p in powers]
+    return (level, 0.0), powers
 
 
-def _horizontal_pass(ki, pb, eps, ssc, max_sweeps=400):
-    """Pairwise forward water flow for one node, flow capped by capacity."""
-    model = ssc.model_kind
-    n = ssc.n_slots
-    cap = ssc.battery_capacity[ki]
-    alpha = ssc.transfer_efficiency
-    arr = ssc.harvests[ki] + alpha[1 - ki] * eps[1 - ki] - eps[ki]
-    for _ in range(max_sweeps):
-        moved = 0.0
-        state = np.cumsum(arr - pb[ki])
-        for i in range(n - 1):
-            la = _SlotLevel(model, ki + 1, pb[1 - ki][i], ssc)
-            lb = _SlotLevel(model, ki + 1, pb[1 - ki][i + 1], ssc)
-            va = la.v(pb[ki][i])
-            vb = lb.v(pb[ki][i + 1])
-            if va > vb * (1 + 1e-13) + 1e-14:
-                # forward flow, capped by battery headroom at the boundary
-                sign = 1.0
-                room = cap - state[i] if math.isfinite(cap) else math.inf
-                tmax = min(pb[ki][i], room)
-            elif vb > va * (1 + 1e-13) + 1e-14 and state[i] > 1e-14:
-                # backward flow: spend energy already stored at slot i earlier
-                sign = -1.0
-                tmax = min(pb[ki][i + 1], state[i])
-            else:
-                continue
-            if tmax <= 1e-14:
-                continue
+def _dwf_bounded(arrivals, capacity, levels):
+    """Single-node directional water-filling with a battery of `capacity`.
 
-            def diff(t):
-                x = la.v(pb[ki][i] - sign * t)
-                y = lb.v(pb[ki][i + 1] + sign * t)
-                if math.isinf(x):
-                    return math.inf * sign
-                if math.isinf(y):
-                    return -math.inf * sign
-                return sign * (x - y)
-
-            if diff(tmax) >= 0:
-                t = tmax
-            else:
-                lo, hi = 0.0, tmax
-                for _ in range(90):
-                    mid = 0.5 * (lo + hi)
-                    if diff(mid) > 0:
-                        lo = mid
-                    else:
-                        hi = mid
-                t = 0.5 * (lo + hi)
-            if t <= 1e-15:
-                continue
-            pb[ki][i] -= sign * t
-            pb[ki][i + 1] += sign * t
-            state[i] += sign * t
-            moved = max(moved, t)
-        if moved < 1e-13:
-            break
+    Cumulative consumption is the taut string between the cumulative
+    arrivals U (the battery cannot go below empty) and L = U - capacity (nor
+    above full), ending on U: every arrival is consumed.  As in _taut_string,
+    but with a pool level for a slope: from the last pivot, the segments to
+    U and to L are ranked by the level that fills them; the string bends on
+    the lowest segment to U once a segment to L must lie above it (the
+    battery empties there, and the level rises), or on the highest segment
+    to L once a segment to U must lie below it (the battery is full, and
+    the level falls).  Returns the consumed power per slot.
+    """
+    upper = np.cumsum(arrivals)
+    lower = upper - capacity
+    lower[-1] = upper[-1]
+    n = len(upper)
+    out = np.zeros(n)
+    i0, b0 = 0, 0.0
+    while i0 < n:
+        hi = lo = None  # (rank, powers, end) of the tightest segment to U, to L
+        for j in range(i0 + 1, n + 1):
+            slots = range(i0, j)
+            up = (*_segment(slots, levels, upper[j - 1] - b0), j)
+            down = up if j == n else (*_segment(slots, levels, lower[j - 1] - b0), j)
+            if hi is not None and down[0] > hi[0]:
+                pivot, b0 = hi, upper[hi[2] - 1]
+                break
+            if lo is not None and lo[0] > up[0]:
+                pivot, b0 = lo, lower[lo[2] - 1]
+                break
+            if hi is None or up[0] < hi[0]:
+                hi = up
+            if lo is None or down[0] > lo[0]:
+                lo = down
+        else:
+            pivot = up
+        _, powers, end = pivot
+        out[i0:end] = powers
+        i0 = end
+    return out
 
 
-def _vertical_flow(pb, eps, ssc):
-    """Stored transfers out of a full battery into an idle slot of the other
-    node, balanced to v_j = a_k v_k by bisection on the amount."""
-    model = ssc.model_kind
-    n = ssc.n_slots
-    alpha = ssc.transfer_efficiency
-    cap = ssc.battery_capacity
-    changed = False
-    for ki in range(2):
-        j = 1 - ki
-        a_k = alpha[ki]
-        if a_k <= 0 or math.isinf(cap[ki]):
-            continue
-        for i in range(n):
-            states = _finite_states(pb, eps, ssc)
-            if cap[ki] - states[ki][i] > 1e-9:
-                continue
-            if pb[j][i] > 1e-12:
-                continue
-            lev_k = _SlotLevel(model, ki + 1, pb[j][i], ssc)
-            lev_j = _SlotLevel(model, j + 1, pb[ki][i], ssc)
-            if not lev_j.v(pb[j][i]) < a_k * lev_k.v(pb[ki][i]) - 1e-9:
-                continue
-            emax = float(np.min(states[ki][i:]))
-            if math.isfinite(cap[j]):
-                emax = min(emax, (cap[j] - float(np.max(states[j][i:]))) / a_k)
-            if emax <= 1e-12:
-                continue
-
-            def balance(e):
-                pb2 = pb.copy()
-                eps2 = eps.copy()
-                eps2[ki][i] += e
-                for _ in range(3):
-                    _horizontal_pass(0, pb2, eps2, ssc, max_sweeps=120)
-                    _horizontal_pass(1, pb2, eps2, ssc, max_sweeps=120)
-                lk = _SlotLevel(model, ki + 1, pb2[j][i], ssc)
-                lj = _SlotLevel(model, j + 1, pb2[ki][i], ssc)
-                return lj.v(pb2[j][i]) - a_k * lk.v(pb2[ki][i]), pb2, eps2
-
-            d_hi, pb_hi, eps_hi = balance(emax)
-            if d_hi <= 0:
-                pb[:, :], eps[:, :] = pb_hi, eps_hi
-                changed = True
-                continue
-            lo, hi = 0.0, emax
-            best = None
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                d, pb_m, eps_m = balance(mid)
-                if d < 0:
-                    lo = mid
-                    best = (pb_m, eps_m)
-                else:
-                    hi = mid
-            if best is not None:
-                pb[:, :], eps[:, :] = best
-                changed = True
-    return changed
+def _finite_states(pb, ssc):
+    """Battery state per node from consumed energies."""
+    return np.cumsum(ssc.harvests - pb, axis=1)
 
 
 def dwf_finite(sc: Scenario, mode: CooperationMode = CooperationMode.BIDIRECTIONAL) -> SolveReport:
-    """Finite-battery solver: horizontal directional flow capped by battery
-    size, alternated with restricted node-to-node flow at full-battery,
-    idle-receiver slots."""
+    """Finite-battery solver: alternating exact capacity-bounded per-node
+    water-filling, with the joint polish for the two-hop kink."""
     if all(math.isinf(c) for c in sc.battery_capacity):
         raise InputError("dwf_finite requires at least one finite capacity")
     eff = effective_scenario(sc, mode)
     ssc = eff.unit_slot()
-    n = ssc.n_slots
     pb = np.array(ssc.harvests, dtype=float)
-    eps = np.zeros((2, n))
     converged = False
     passes = 0
     for p in range(FINITE_MAX_PASSES):
         passes = p + 1
         prev_pb = pb.copy()
-        prev_eps = eps.copy()
         for _ in range(8):
-            _horizontal_pass(0, pb, eps, ssc)
-            _horizontal_pass(1, pb, eps, ssc)
+            _dwf_full(0, pb, ssc)
+            _dwf_full(1, pb, ssc)
             if not (ssc.model_kind is ModelKind.THC
-                    and _joint_polish_finite(pb, eps, ssc)):
+                    and _joint_polish_finite(pb, ssc)):
                 break
-        changed = _vertical_flow(pb, eps, ssc)
-        step = max(float(np.max(np.abs(pb - prev_pb))),
-                   float(np.max(np.abs(eps - prev_eps))))
-        if not changed and step < 1e-10:
+        if float(np.max(np.abs(pb - prev_pb))) < 1e-10:
             converged = True
             break
-    report = _build_report(sc, eff, ssc, pb, mode, passes,
-                           converged, [], stored=eps)
-    return report
+    return _build_report(sc, eff, ssc, pb, mode, passes, converged, [])
 
 
-def _resolve_node_finite(ki, pb, eps, ssc):
-    """Re-solve one node's finite allocation from scratch: consume on
-    arrival, then run the horizontal forward flow to a fixed point."""
-    alpha = ssc.transfer_efficiency
-    arr = ssc.harvests[ki] + alpha[1 - ki] * eps[1 - ki] - eps[ki]
-    if np.all(arr >= 0):
-        pb[ki] = arr.copy()
-    _horizontal_pass(ki, pb, eps, ssc)
-
-
-def _joint_polish_finite(pb, eps, ssc):
-    """Finite-battery analogue of _joint_polish.
+def _joint_polish_finite(pb, ssc):
+    """Finite-battery analogue of _joint_polish, for the two-hop channel.
 
     Moves consumption of one node between slot pairs in either direction
     (forward capped by battery headroom, backward by stored energy) with
@@ -738,7 +654,7 @@ def _joint_polish_finite(pb, eps, ssc):
     for i, m in [(i, m) for i in range(n - 1) for m in range(i + 1, n)]:
         for k in range(2):
             j = 1 - k
-            states = _finite_states(pb, eps, ssc)
+            states = _finite_states(pb, ssc)
             room = float(np.min(cap[k] - states[k][i:m])) \
                 if math.isfinite(cap[k]) else math.inf
             stored = float(np.min(states[k][i:m]))
@@ -747,14 +663,14 @@ def _joint_polish_finite(pb, eps, ssc):
                 trial = pb.copy()
                 trial[k, i] -= t
                 trial[k, m] += t
-                _resolve_node_finite(j, trial, eps, ssc)
+                _dwf_full(j, trial, ssc)
                 return trial
 
             def bwd(t, k=k, j=j):
                 trial = pb.copy()
                 trial[k, m] -= t
                 trial[k, i] += t
-                _resolve_node_finite(j, trial, eps, ssc)
+                _dwf_full(j, trial, ssc)
                 return trial
 
             trial, base2 = _search_move(base, min(pb[k, i], room), fwd, obj)
@@ -764,38 +680,37 @@ def _joint_polish_finite(pb, eps, ssc):
                 pb[:, :] = trial
                 base = base2
                 improved = True
-        if model is ModelKind.THC:
-            # coupled kink moves: both fluids together in the weight ratio
-            states = _finite_states(pb, eps, ssc)
-            rooms = [float(np.min(cap[k] - states[k][i:m]))
-                     if math.isfinite(cap[k]) else math.inf for k in range(2)]
-            stores = [float(np.min(states[k][i:m])) for k in range(2)]
+        # coupled kink moves: both fluids together in the weight ratio
+        states = _finite_states(pb, ssc)
+        rooms = [float(np.min(cap[k] - states[k][i:m]))
+                 if math.isfinite(cap[k]) else math.inf for k in range(2)]
+        stores = [float(np.min(states[k][i:m])) for k in range(2)]
 
-            def jf(t):
-                trial = pb.copy()
-                trial[0, i] -= t
-                trial[0, m] += t
-                trial[1, i] -= ratio * t
-                trial[1, m] += ratio * t
-                return trial
+        def jf(t):
+            trial = pb.copy()
+            trial[0, i] -= t
+            trial[0, m] += t
+            trial[1, i] -= ratio * t
+            trial[1, m] += ratio * t
+            return trial
 
-            def jb(t):
-                trial = pb.copy()
-                trial[0, m] -= t
-                trial[0, i] += t
-                trial[1, m] -= ratio * t
-                trial[1, i] += ratio * t
-                return trial
+        def jb(t):
+            trial = pb.copy()
+            trial[0, m] -= t
+            trial[0, i] += t
+            trial[1, m] -= ratio * t
+            trial[1, i] += ratio * t
+            return trial
 
-            tf = min(pb[0, i], rooms[0], pb[1, i] / ratio, rooms[1] / ratio)
-            tb = min(pb[0, m], stores[0], pb[1, m] / ratio, stores[1] / ratio)
-            trial, base2 = _search_move(base, tf, jf, obj)
-            if trial is None:
-                trial, base2 = _search_move(base, tb, jb, obj)
-            if trial is not None:
-                pb[:, :] = trial
-                base = base2
-                improved = True
+        tf = min(pb[0, i], rooms[0], pb[1, i] / ratio, rooms[1] / ratio)
+        tb = min(pb[0, m], stores[0], pb[1, m] / ratio, stores[1] / ratio)
+        trial, base2 = _search_move(base, tf, jf, obj)
+        if trial is None:
+            trial, base2 = _search_move(base, tb, jb, obj)
+        if trial is not None:
+            pb[:, :] = trial
+            base = base2
+            improved = True
     return improved
 
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -108,14 +109,25 @@ class TestEmit:
         out = tmp_path / "sweep.csv"
         harness.emit(rows, "csv", str(out))
         lines = out.read_text().splitlines()
-        assert lines[0] == "swept_value,mode,mean_nats,mean_bits,trials,seed"
+        assert lines[0] == "swept_value,mode,mean_nats,mean_bits,trials,seed,converged"
         assert len(lines) == 2
+
+    def test_csv_reads_back_converged(self, tmp_path):
+        rows = [harness.SweepRow(2.0, "no_cooperation", 1.25, 1.25 / math.log(2), 4, 3,
+                                 converged=False)]
+        out = tmp_path / "sweep.csv"
+        harness.emit(rows, "csv", str(out))
+        with open(out, newline="") as fh:
+            (back,) = list(csv.DictReader(fh))
+        assert back["converged"] == "False"
+        assert float(back["mean_nats"]) == 1.25
+        assert (back["mode"], back["trials"], back["seed"]) == ("no_cooperation", "4", "3")
 
     def test_empty_sweep_header_only(self, tmp_path):
         out = tmp_path / "empty.csv"
         harness.emit([], "csv", str(out))
         assert out.read_text().splitlines() == [
-            "swept_value,mode,mean_nats,mean_bits,trials,seed"]
+            "swept_value,mode,mean_nats,mean_bits,trials,seed,converged"]
 
     def test_report_json_round_trip(self, tmp_path):
         sc = harness.scenario_from_dict(VALID_SCENARIO)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -62,6 +63,13 @@ class TestScenarioValidation:
     def test_non_finite_rejected(self, field, value):
         with pytest.raises(InputError):
             make_scenario(**{field: value})
+
+    @pytest.mark.parametrize("gain_db", [(4000.0, -100.0), (-100.0, -4000.0)])
+    def test_extreme_gain_rejected_without_warning(self, gain_db):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(InputError, match="finite effective noise"):
+                make_scenario(gain_db=gain_db)
 
     def test_non_numeric_rejected(self):
         with pytest.raises(InputError, match="harvests must be numeric"):

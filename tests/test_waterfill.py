@@ -13,9 +13,11 @@ from ehcoop.model import (
     check_procrastinating,
     objective,
 )
-from ehcoop.transfer import level_at, level_pieces
+from ehcoop.transfer import level_at, level_pieces, slot_transfer
 from ehcoop.waterfill import (
     CooperationMode,
+    _dwf_bounded,
+    _slot_levels,
     bcd_solve,
     dwf_finite,
     dwf_node,
@@ -228,6 +230,29 @@ class TestMacSolve:
             mac_solve(sc)
 
 
+# finite-dwf benchmark entries (seed 206 entry 116, seed 6 entry 143, seed 37
+# entry 107), and the objectives a pairwise slot-to-slot flow stalled at, with
+# level residuals of 0.161, 0.164 and 0.048: it could not move energy across a
+# slot that consumes nothing
+MAC_FINITE_STALLS = [
+    (CooperationMode.BIDIRECTIONAL,
+     ((5.100884535815556, 1.313240468160869, 2.5522032197791766, 1.4778230668748227),
+      (6.775963789064452, 9.76448590103164, 1.6379497168867818, 0.4104619208607152)),
+     (5.052466721546681, 4.621718085261576), (0.6327986506795467, 0.7233126417695264),
+     (-98.18625224212595, -97.54233222096204), 5.1470529987237015),
+    (CooperationMode.NO_COOPERATION,
+     ((6.958455413523225, 0.7862448720734161, 0.44462472494048444, 1.7139482905153636),
+      (3.892077783722949, 8.576341110283101, 0.02853921039212004, 4.256118516618885)),
+     (5.46574039423654, 4.411797584089542), (0.7066071796142515, 0.6038244001565495),
+     (-99.60779541013389, -97.38835238017009), 4.853630316013343),
+    (CooperationMode.NO_COOPERATION,
+     ((5.148551977302175, 9.330159261789149, 1.050421886035534, 9.417383300688101),
+      (9.523075567711142, 0.38452662799677295, 0.4791795203210336, 7.766314603488098)),
+     (5.098690168539501, 6.7731732553394774), (0.48443947819814637, 0.5387266545701253),
+     (-100.1123203117403, -99.4906484771051), 4.91391481743778),
+]
+
+
 class TestDwfFinite:
     def test_loose_caps_match_infinite(self):
         rng = np.random.default_rng(47)
@@ -250,10 +275,80 @@ class TestDwfFinite:
             assert check_feasible(rep.transmit, sc).feasible
             assert check_partially_procrastinating(rep.policy, sc)
 
+    @pytest.mark.parametrize("mode, harvests, capacity, alpha, gain_db, stalled",
+                             MAC_FINITE_STALLS)
+    def test_mac_energy_crosses_idle_slots(self, mode, harvests, capacity, alpha,
+                                           gain_db, stalled):
+        sc = make_scenario(model=ModelKind.MAC, harvests=harvests, capacity=capacity,
+                           alpha=alpha, gain_db=gain_db)
+        rep = dwf_finite(sc, mode)
+        assert rep.converged
+        assert check_feasible(rep.transmit, sc).feasible
+        assert rep.level_residual <= 1e-7
+        assert rep.objective_nats > stalled
+
     def test_requires_finite_capacity_path(self):
         sc = make_scenario(capacity=(3.0, 3.0))
         rep = solve(sc)
         assert check_feasible(rep.transmit, sc).feasible
+
+
+class TestDwfBounded:
+    @pytest.mark.parametrize("capacity, expected", [(10.0, (2.0, 0.0, 2.0)),
+                                                    (1.5, (2.5, 0.0, 1.5))])
+    def test_energy_crosses_an_idle_slot(self, capacity, expected):
+        # MAC levels 1 + q + x: the other node's power q = 5 keeps slot 1
+        # idle, and slot 0's energy must pass it to reach slot 2
+        sc = make_scenario(model=ModelKind.MAC, alpha=(0.0, 0.0),
+                           harvests=((1.0,) * 3, (1.0,) * 3))
+        levels = _slot_levels(ModelKind.MAC, 1, [0.0, 5.0, 0.0], sc)
+        out = _dwf_bounded(np.array([4.0, 0.0, 0.0]), capacity, levels)
+        assert np.allclose(out, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("model", list(ModelKind))
+    def test_random_against_scipy(self, model):
+        """Consumption stays between the battery bounds and uses every
+        arrival; without a flat direction no solver of the concave node
+        problem does better."""
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(67)
+        for _ in range(25):
+            n = int(rng.integers(2, 7))
+            alpha = rng.uniform(0.3, 0.9, size=2)
+            if rng.random() < 0.5:
+                alpha[rng.integers(0, 2)] = 0.0
+            sc = make_scenario(model=model, harvests=np.ones((2, n)), alpha=tuple(alpha),
+                               gain_db=tuple(rng.uniform(-102, -97, size=2)))
+            k = int(rng.integers(1, 3))
+            other = rng.uniform(0, 6, size=n) * (rng.random(n) < 0.7)
+            arrivals = rng.uniform(0, 10, size=n) * (rng.random(n) < 0.8)
+            capacity = rng.uniform(1, 12)
+            levels = _slot_levels(model, k, other, sc)
+            p = _dwf_bounded(arrivals, capacity, levels)
+            upper = np.cumsum(arrivals)
+            cum = np.cumsum(p)
+            assert np.all(p >= -1e-9)
+            assert np.all(cum <= upper + 1e-9)
+            assert np.all(cum >= upper - capacity - 1e-9)
+            assert cum[-1] == pytest.approx(upper[-1], abs=1e-9)
+            if any(math.isfinite(lev.cap()) for lev in levels):
+                continue
+
+            def value(x):
+                own = np.maximum(x, 0.0)
+                pairs = zip(own, other) if k == 1 else zip(other, own)
+                return sum(slot_transfer(model, p1, p2, sc).rate_nats for p1, p2 in pairs)
+
+            tril = np.tril(np.ones((n, n)))
+            # the last upper bound is the equality, so it is left out
+            cons = [{"type": "ineq", "fun": lambda x: (upper - tril @ x)[:-1]},
+                    {"type": "ineq", "fun": lambda x: (tril @ x - upper + capacity)[:-1]},
+                    {"type": "eq", "fun": lambda x: np.array([x.sum() - upper[-1]])}]
+            ref = optimize.minimize(lambda x: -value(x), arrivals, method="SLSQP",
+                                    bounds=[(0.0, None)] * n, constraints=cons,
+                                    options={"ftol": 1e-13, "maxiter": 500})
+            assert ref.success
+            assert value(p) >= -ref.fun - 1e-9
 
 
 class TestSolveDispatch:
