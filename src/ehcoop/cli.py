@@ -113,7 +113,7 @@ def main(argv=None):
     }[args.command]
     try:
         return handler(args)
-    except (InputError, FileNotFoundError, KeyError) as exc:
+    except (InputError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -278,6 +278,7 @@ def emit(obj, fmt, path):
 
 def verify_scenario(sc: Scenario, grid_points=40):
     """DP oracle + invariant checks; returns (ok, list of findings)."""
+    cfg = DpConfig(grid_points=grid_points)
     findings = []
     ok = True
     report = waterfill.solve(sc)
@@ -297,7 +298,6 @@ def verify_scenario(sc: Scenario, grid_points=40):
     if report.level_residual > 1e-7:
         ok = False
         findings.append(f"water-level residual {report.level_residual:.3g} > 1e-7")
-    cfg = DpConfig(grid_points=grid_points)
     quantum = cfg.quantum_for(sc)
     dp_value, _ = dp_solve(sc, cfg)
     # marginal rate is at most 1/(2 n_min) nats per mJ of lost quantization

@@ -194,6 +194,28 @@ class TestCli:
         assert cli.main(["verify", "--config", cfg, "--grid-points", "40"]) == 0
         assert "PASS" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("grid_points", ["0", "-5"])
+    def test_verify_bad_grid_points_is_input_error(self, tmp_path, capsys, grid_points):
+        cfg = write_json(tmp_path, "sc.json", VALID_SCENARIO)
+        assert cli.main(["verify", "--config", cfg, "--grid-points", grid_points]) == 1
+        assert "error: grid_points" in capsys.readouterr().err
+
+    def test_config_directory_is_input_error(self, tmp_path, capsys):
+        assert cli.main(["verify", "--config", str(tmp_path)]) == 1
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scenario", [
+        dict(VALID_SCENARIO, harvests_mJ=[[0.0, 0.0], [0.0, 0.0]],
+             battery_capacity_mJ=[3.0, 3.0]),
+        dict(VALID_SCENARIO, model="THC", harvests_mJ=[[0.01], [0.02]],
+             battery_capacity_mJ=[50.0, 50.0]),
+    ])
+    def test_verify_capacity_beyond_total_harvest(self, tmp_path, capsys, scenario):
+        # the DP sizes a battery by the energy that can reach it, not its capacity
+        cfg = write_json(tmp_path, "sc.json", scenario)
+        assert cli.main(["verify", "--config", cfg]) == 0
+        assert "PASS" in capsys.readouterr().out
+
     def test_baseline_ok(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "sc.json", VALID_SCENARIO)
         assert cli.main(["baseline", "--config", cfg,
