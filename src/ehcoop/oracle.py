@@ -63,16 +63,20 @@ def dp_solve(sc: Scenario, cfg: DpConfig = DpConfig()):
     over the stored transfers e, for every leftover m.  Then, per state,
     the best rate(b) + U[s + h - b] over the consumptions b.  The capacity
     of a finite battery is min(floor(c / q), both nodes' total harvested
-    quanta): since alpha <= 1, no state above it is reachable.  Returns
-    (objective lower bound in nats, TransferPolicy).
+    quanta): since alpha <= 1, no state above it is reachable.  An infinite
+    battery is sized by its own total harvest, or by both nodes' when
+    stored transfers can reach it.  Returns (objective lower bound in nats,
+    TransferPolicy).
     """
     ssc = sc.unit_slot()
     q = cfg.quantum_for(sc)
     n = ssc.n_slots
     h = np.floor(ssc.harvests / q + 1e-12).astype(int)  # round down: feasible
-    any_finite = not np.isinf(ssc.battery_capacity).all()
-    s1max, s2max = (int(np.sum(h[k])) if math.isinf(c)
-                    else min(int(math.floor(c / q + 1e-12)), int(np.sum(h)))
+    alpha = ssc.transfer_efficiency
+    use_eps = not np.isinf(ssc.battery_capacity).all() and (alpha[0] > 0 or alpha[1] > 0)
+    total = int(np.sum(h))
+    s1max, s2max = (min(int(math.floor(c / q + 1e-12)), total) if math.isfinite(c)
+                    else total if use_eps else int(np.sum(h[k]))
                     for k, c in enumerate(ssc.battery_capacity))
     n_states = (s1max + 1) * (s2max + 1)
     if n_states > cfg.max_states:
@@ -87,9 +91,6 @@ def dp_solve(sc: Scenario, cfg: DpConfig = DpConfig()):
         for b2 in range(bmax2 + 1):
             rate_tab[b1, b2] = transfer.slot_transfer(
                 ssc.model_kind, b1 * q, b2 * q, ssc).rate_nats
-
-    alpha = ssc.transfer_efficiency
-    use_eps = any_finite and (alpha[0] > 0 or alpha[1] > 0)
 
     def received(k, e):
         return int(alpha[k] * e + 1e-9)

@@ -1,13 +1,14 @@
 """Consumed-power allocation solvers.
 
-Single-node generalized directional water-filling (pool merge; the
-levels are piecewise affine, so each pool's common level is one linear
-solve), block coordinate descent across the two nodes, a combined-flow
-refinement for the two-hop min-rate objective, and the MAC single-pool
-reduction with a staircase sum-power policy.  With finite batteries each
-node's allocation is the taut string between its cumulative arrivals and
-the overflow floor, over the exact per-slot levels, and the nodes are
-solved alternately.
+Single-node generalized directional water-filling over the exact per-slot
+levels (piecewise affine, so each pool's common level is one linear
+solve), in two forms: a pool merge for an infinite battery, and the taut
+string between the cumulative arrivals and the overflow floor for a finite
+one.  The MAC reduces to a single node with aggregate arrivals, whose
+staircase sum-power policy is that same taut string with each slot's level
+equal to its power.  Around these: block coordinate descent across the two
+nodes, with a combined-flow refinement for the two-hop min-rate objective,
+and for finite batteries the nodes solved alternately.
 
 Solvers operate internally on a unit-slot copy of the scenario (noise
 scaled by slot length) so that consumed power and per-slot energy are the
@@ -89,19 +90,26 @@ class MacReduction:
 
 class _SlotLevel:
     """Water level of one node in one slot as a function of own consumed
-    power, with the other node's power held fixed: the affine pieces of
-    transfer.level_pieces, strictly increasing with jumps."""
+    power, from its affine pieces (start, slope, intercept): strictly
+    increasing with jumps, and flat past the start of an intercept-inf piece.
+    `cap` is the most power the slot can use; `knots` are the levels where
+    inv changes slope (each finite piece's value at its start and its left
+    limit at its end)."""
 
-    def __init__(self, model_kind, k, other_power, sc):
-        self.pieces = transfer.level_pieces(model_kind, k, float(other_power), sc)
-        self.ends = [piece[0] for piece in self.pieces[1:]] + [math.inf]
-
-    def v(self, p):
-        return transfer.level_at(self.pieces, p)
+    def __init__(self, pieces):
+        self.pieces = pieces
+        self.ends = [piece[0] for piece in pieces[1:]] + [math.inf]
+        self.cap = pieces[-1][0] if math.isinf(pieces[-1][2]) else math.inf
+        knots = []
+        for (start, slope, icpt), end in zip(pieces, self.ends):
+            if math.isfinite(icpt):
+                knots += [slope * start + icpt, slope * end + icpt]
+        self.knots = [x for x in knots if math.isfinite(x)]
 
     def inv(self, target):
-        """Largest p with v(p) <= target: solve the piece that contains the
-        target, or return the piece start when the target falls in a jump."""
+        """Largest p with level(p) <= target: solve the piece that contains
+        the target, or return the piece start when the target falls in a
+        jump."""
         for (start, slope, icpt), end in zip(self.pieces, self.ends):
             if target <= slope * start + icpt:
                 return start
@@ -109,27 +117,15 @@ class _SlotLevel:
             if p < end:
                 return p
 
-    def cap(self):
-        """The most power the slot can use: the start of a flat piece."""
-        start, _, icpt = self.pieces[-1]
-        return start if math.isinf(icpt) else math.inf
-
-    def knots(self):
-        """Levels where inv changes slope: each finite piece's value at its
-        start and its left limit at its end."""
-        out = []
-        for (start, slope, icpt), end in zip(self.pieces, self.ends):
-            if math.isfinite(icpt):
-                out += [slope * start + icpt, slope * end + icpt]
-        return [x for x in out if math.isfinite(x)]
-
 
 def _slot_levels(model_kind, k, other_powers, sc):
-    return [_SlotLevel(model_kind, k, other_powers[i], sc) for i in range(len(other_powers))]
+    return [_SlotLevel(transfer.level_pieces(model_kind, k, float(q), sc))
+            for q in other_powers]
 
 
 # ---------------------------------------------------------------------------
-# single-node directional water-filling (infinite battery)
+# single-node directional water-filling: a pool merge for an infinite
+# battery, a taut string for a finite one and for the MAC staircase
 
 
 def _solve_pool(slots, levels, budget):
@@ -144,7 +140,7 @@ def _solve_pool(slots, levels, budget):
     pool = [levels[i] for i in slots]
     if budget <= ENERGY_TOL:
         return [0.0] * len(pool), 0.0, 0.0
-    caps = [lev.cap() for lev in pool]
+    caps = [lev.cap for lev in pool]
     cap_total = sum(caps)
     if cap_total < budget - ENERGY_TOL:
         return caps, math.inf, budget - cap_total
@@ -152,7 +148,7 @@ def _solve_pool(slots, levels, budget):
     def fill(level):
         return sum(lev.inv(level) for lev in pool)
 
-    knots = sorted({x for lev in pool for x in lev.knots()})
+    knots = sorted({x for lev in pool for x in lev.knots})
     i = bisect.bisect_left(knots, budget, key=fill)
     if i < len(knots):
         lo, hi = knots[i - 1], knots[i]
@@ -162,7 +158,7 @@ def _solve_pool(slots, levels, budget):
         # past the last knot only unbounded last pieces still rise; with none
         # the budget is within ENERGY_TOL of the caps
         level = knots[-1]
-        rise = sum(1.0 / lev.pieces[-1][1] for lev in pool if math.isinf(lev.cap()))
+        rise = sum(1.0 / lev.pieces[-1][1] for lev in pool if math.isinf(lev.cap))
         if rise > 0:
             level += (budget - fill(level)) / rise
     return [lev.inv(level) for lev in pool], level, 0.0
@@ -199,6 +195,60 @@ def _dwf_single(budgets, levels):
     out = np.zeros(n)
     for pool in pools:
         out[pool["start"]:pool["end"] + 1] = pool["powers"]
+    return out
+
+
+def _segment(slots, levels, budget):
+    """Rank and powers of one taut-string segment holding `budget`: its pool
+    level, or (inf, surplus per slot) when the slots' flat directions cap it
+    below the budget and the surplus is spread evenly over them."""
+    powers, level, surplus = _solve_pool(slots, levels, budget)
+    if surplus > 0:
+        spread = surplus / len(powers)
+        return (math.inf, spread), [p + spread for p in powers]
+    return (level, 0.0), powers
+
+
+def _dwf_bounded(arrivals, capacity, levels):
+    """Single-node directional water-filling with a battery of `capacity`.
+
+    Cumulative consumption is the taut string between the cumulative
+    arrivals U (the battery cannot go below empty) and L = U - capacity (nor
+    above full), ending on U: every arrival is consumed.  From the last
+    pivot, the segments to U and to L are ranked by the pool level that
+    fills them (a slope, when each slot's level is its power); the string
+    bends on the lowest segment to U once a segment to L must lie above it
+    (the battery empties there, and the level rises), or on the highest
+    segment to L once a segment to U must lie below it (the battery is full,
+    and the level falls).  Returns the consumed power per slot.
+    """
+    upper = np.cumsum(arrivals)
+    lower = upper - capacity
+    lower[-1] = upper[-1]
+    n = len(upper)
+    out = np.zeros(n)
+    i0, b0 = 0, 0.0
+    while i0 < n:
+        hi = lo = None  # (rank, powers, end) of the tightest segment to U, to L
+        for j in range(i0 + 1, n + 1):
+            slots = range(i0, j)
+            up = (*_segment(slots, levels, upper[j - 1] - b0), j)
+            down = up if j == n else (*_segment(slots, levels, lower[j - 1] - b0), j)
+            if hi is not None and down[0] > hi[0]:
+                pivot, b0 = hi, upper[hi[2] - 1]
+                break
+            if lo is not None and lo[0] > up[0]:
+                pivot, b0 = lo, lower[lo[2] - 1]
+                break
+            if hi is None or up[0] < hi[0]:
+                hi = up
+            if lo is None or down[0] > lo[0]:
+                lo = down
+        else:
+            pivot = up
+        _, powers, end = pivot
+        out[i0:end] = powers
+        i0 = end
     return out
 
 
@@ -390,7 +440,7 @@ def _joint_polish(pb, ssc):
     return improved
 
 
-def _bcd(sc, mode, use_fluid):
+def _bcd(sc, mode):
     if not all(math.isinf(c) for c in sc.battery_capacity):
         raise InputError("infinite-battery solver called with finite capacity")
     eff = effective_scenario(sc, mode)
@@ -412,7 +462,7 @@ def _bcd(sc, mode, use_fluid):
         step = 0.0 if prev_pb is None else float(np.max(np.abs(pb - prev_pb)))
         if prev_pb is not None and obj - prev_obj < BCD_OBJ_TOL * max(1.0, abs(obj)) \
                 and step < 1e-9:
-            if use_fluid and _joint_polish(pb, ssc):
+            if model is ModelKind.THC and _joint_polish(pb, ssc):
                 prev_obj = _capacity_objective(model, pb, ssc)
                 prev_pb = pb.copy()
                 continue
@@ -424,15 +474,16 @@ def _bcd(sc, mode, use_fluid):
 
 
 def bcd_solve(sc: Scenario, mode: CooperationMode = CooperationMode.BIDIRECTIONAL) -> SolveReport:
-    """Alternating per-node directional water-filling; infinite battery."""
-    return _bcd(sc, mode, use_fluid=False)
+    """Alternating per-node directional water-filling; infinite battery.  A
+    two-hop scenario also gets the combined-flow (two-fluid) refinement."""
+    return _bcd(sc, mode)
 
 
 def thc_solve(sc: Scenario, mode: CooperationMode = CooperationMode.BIDIRECTIONAL) -> SolveReport:
     """Two-hop solver: BCD plus the combined-flow (two-fluid) refinement."""
     if sc.model_kind is not ModelKind.THC:
         raise InputError("thc_solve requires a THC scenario")
-    return _bcd(sc, mode, use_fluid=True)
+    return _bcd(sc, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -452,59 +503,16 @@ def mac_reduce(sc: Scenario) -> MacReduction:
     return MacReduction(alpha_star=astar, aggregate=aggregate)
 
 
-def _taut_string(upper, lower):
-    """Shortest non-decreasing cumulative curve from (0,0) to (N, upper[-1])
-    inside lower <= B <= upper; returns per-slot increments."""
-    n = len(upper)
-    out = np.zeros(n)
-    i0 = 0
-    b0 = 0.0
-    while i0 < n:
-        minhi, j_hi = math.inf, None
-        maxlo, j_lo = -math.inf, None
-        pivot = None
-        for j in range(i0 + 1, n + 1):
-            up = upper[j - 1]
-            lo_ = upper[n - 1] if j == n else lower[j - 1]
-            s_hi = (up - b0) / (j - i0)
-            s_lo = (lo_ - b0) / (j - i0)
-            if s_lo > minhi + 1e-15:
-                pivot = ("hi", j_hi)
-                break
-            if s_hi < maxlo - 1e-15:
-                pivot = ("lo", j_lo)
-                break
-            if s_hi < minhi:
-                minhi, j_hi = s_hi, j
-            if s_lo > maxlo:
-                maxlo, j_lo = s_lo, j
-        if pivot is None:
-            slope = (upper[n - 1] - b0) / (n - i0)
-            out[i0:n] = slope
-            break
-        kind, jp = pivot
-        if kind == "hi":
-            out[i0:jp] = minhi
-            b0 = upper[jp - 1]
-        else:
-            out[i0:jp] = maxlo
-            b0 = upper[n - 1] if jp == n else lower[jp - 1]
-        i0 = jp
-    return out
-
-
 def staircase(aggregate, capacity) -> np.ndarray:
     """Single-node optimal consumed powers for aggregate arrivals: the taut
-    string between cumulative arrivals and the overflow floor."""
+    string between cumulative arrivals and the overflow floor, which is
+    _dwf_bounded with the level of every slot equal to its power."""
     agg = np.asarray(aggregate, dtype=float)
     if np.any(agg < 0):
         raise InputError("aggregate arrivals must be non-negative")
-    upper = np.cumsum(agg)
-    if math.isinf(capacity):
-        lower = np.full_like(upper, -math.inf)
-    else:
-        lower = upper - capacity
-    return _taut_string(upper, lower)
+    if not capacity > 0:
+        raise InputError(f"capacity must be positive (or INFINITE), got {capacity}")
+    return _dwf_bounded(agg, capacity, [_SlotLevel(((0.0, 1.0, 0.0),))] * len(agg))
 
 
 def mac_solve(sc: Scenario, mode: CooperationMode = CooperationMode.BIDIRECTIONAL) -> SolveReport:
@@ -545,61 +553,7 @@ def mac_solve(sc: Scenario, mode: CooperationMode = CooperationMode.BIDIRECTIONA
 
 
 # ---------------------------------------------------------------------------
-# finite battery: capacity-bounded directional water-filling
-
-
-def _segment(slots, levels, budget):
-    """Rank and powers of one taut-string segment holding `budget`: its pool
-    level, or (inf, surplus per slot) when the slots' flat directions cap it
-    below the budget and the surplus is spread evenly over them."""
-    powers, level, surplus = _solve_pool(slots, levels, budget)
-    if surplus > 0:
-        spread = surplus / len(powers)
-        return (math.inf, spread), [p + spread for p in powers]
-    return (level, 0.0), powers
-
-
-def _dwf_bounded(arrivals, capacity, levels):
-    """Single-node directional water-filling with a battery of `capacity`.
-
-    Cumulative consumption is the taut string between the cumulative
-    arrivals U (the battery cannot go below empty) and L = U - capacity (nor
-    above full), ending on U: every arrival is consumed.  As in _taut_string,
-    but with a pool level for a slope: from the last pivot, the segments to
-    U and to L are ranked by the level that fills them; the string bends on
-    the lowest segment to U once a segment to L must lie above it (the
-    battery empties there, and the level rises), or on the highest segment
-    to L once a segment to U must lie below it (the battery is full, and
-    the level falls).  Returns the consumed power per slot.
-    """
-    upper = np.cumsum(arrivals)
-    lower = upper - capacity
-    lower[-1] = upper[-1]
-    n = len(upper)
-    out = np.zeros(n)
-    i0, b0 = 0, 0.0
-    while i0 < n:
-        hi = lo = None  # (rank, powers, end) of the tightest segment to U, to L
-        for j in range(i0 + 1, n + 1):
-            slots = range(i0, j)
-            up = (*_segment(slots, levels, upper[j - 1] - b0), j)
-            down = up if j == n else (*_segment(slots, levels, lower[j - 1] - b0), j)
-            if hi is not None and down[0] > hi[0]:
-                pivot, b0 = hi, upper[hi[2] - 1]
-                break
-            if lo is not None and lo[0] > up[0]:
-                pivot, b0 = lo, lower[lo[2] - 1]
-                break
-            if hi is None or up[0] < hi[0]:
-                hi = up
-            if lo is None or down[0] > lo[0]:
-                lo = down
-        else:
-            pivot = up
-        _, powers, end = pivot
-        out[i0:end] = powers
-        i0 = end
-    return out
+# finite battery: alternating capacity-bounded node solves
 
 
 def _finite_states(pb, ssc):
@@ -724,6 +678,4 @@ def solve(sc: Scenario, mode: CooperationMode = CooperationMode.BIDIRECTIONAL) -
         return dwf_finite(sc, mode)
     if sc.model_kind is ModelKind.MAC:
         return mac_solve(sc, mode)
-    if sc.model_kind is ModelKind.THC:
-        return thc_solve(sc, mode)
     return bcd_solve(sc, mode)

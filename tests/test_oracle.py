@@ -103,19 +103,24 @@ class TestDpSolve:
     @pytest.mark.parametrize("model", list(ModelKind))
     @pytest.mark.parametrize("sender", [0, 1])
     def test_stored_transfer_matches_reference(self, model, sender):
-        # the sender's burst overflows its battery unless the other node stores some
+        # the sender's burst overflows its battery unless the other node stores
+        # some; 3 mJ holds the whole harvest, so an infinite receiver is worth the same
         q = 0.5
-        harvests, capacity = [(3.0, 0.0, 0.0), (0.0, 0.0, 0.0)], [0.5, 3.0]
-        if sender:
-            harvests.reverse()
-            capacity.reverse()
-        sc = make_scenario(model=model, harvests=harvests, capacity=capacity,
-                           alpha=(0.9, 0.9), gain_db=(-90.0, -90.0))
-        value, policy = dp_solve(sc, DpConfig(energy_quantum_mJ=q))
-        assert value == pytest.approx(reference_dp_value(sc, q), abs=1e-12)
-        assert value > reference_dp_value(sc, q, stores=False) + 0.1
-        assert check_feasible(policy, sc).feasible
-        assert objective(policy, sc) >= value - 1e-9
+        values = []
+        for receiver_capacity in (3.0, INFINITE):
+            harvests, capacity = [(3.0, 0.0, 0.0), (0.0, 0.0, 0.0)], [0.5, receiver_capacity]
+            if sender:
+                harvests.reverse()
+                capacity.reverse()
+            sc = make_scenario(model=model, harvests=harvests, capacity=capacity,
+                               alpha=(0.9, 0.9), gain_db=(-90.0, -90.0))
+            value, policy = dp_solve(sc, DpConfig(energy_quantum_mJ=q))
+            assert value == pytest.approx(reference_dp_value(sc, q), abs=1e-12)
+            assert value > reference_dp_value(sc, q, stores=False) + 0.1
+            assert check_feasible(policy, sc).feasible
+            assert objective(policy, sc) >= value - 1e-9
+            values.append(value)
+        assert values[0] == values[1]
 
     @pytest.mark.parametrize("kwargs", [
         dict(grid_points=0), dict(grid_points=-5),

@@ -142,6 +142,19 @@ class TestStaircase:
             cum = np.cumsum(out)
             assert np.all(cum <= np.cumsum(agg) + 1e-9)
             assert cum[-1] == pytest.approx(np.sum(agg), abs=1e-8)
+        # a finite battery keeps cumulative consumption within [U - c, U]
+        for _ in range(50):
+            agg = rng.uniform(0, 4, size=6) * (rng.random(6) < 0.7)
+            cap = rng.uniform(0.2, 6)
+            cum, upper = np.cumsum(staircase(agg, cap)), np.cumsum(agg)
+            assert np.all(cum <= upper + 1e-9)
+            assert np.all(cum >= upper - cap - 1e-9)
+            assert cum[-1] == pytest.approx(upper[-1], abs=1e-8)
+
+    @pytest.mark.parametrize("capacity", [-1.0, 0.0, math.nan])
+    def test_rejects_bad_capacity(self, capacity):
+        with pytest.raises(InputError, match="capacity"):
+            staircase([1.0, 2.0, 0.5], capacity)
 
 
 class TestMacReduce:
@@ -206,6 +219,21 @@ class TestThcSolve:
     def test_zero_harvests(self):
         sc = make_scenario(model=ModelKind.THC, harvests=((0.0, 0.0), (0.0, 0.0)))
         assert thc_solve(sc).objective_nats == 0.0
+
+    def test_bcd_solve_refines_two_hop(self):
+        # inf-bcd benchmark entry 5 (default seed): alternating node solves
+        # alone stall at 3.10042 nats, below the combined-flow refinement
+        sc = make_scenario(
+            model=ModelKind.THC, alpha=(0.851707535743012, 0.39750446577192267),
+            gain_db=(-101.08019059423032, -101.13770443240817),
+            harvests=((8.934024143000807, 2.110462928971449, 8.774747788063266,
+                       2.5366749042111914),
+                      (2.060685001538436, 7.392458420226436, 0.6774147636666639,
+                       8.131790738474313)))
+        mode = CooperationMode.UNI_1_TO_2
+        rep = bcd_solve(sc, mode)
+        assert rep.objective_nats == thc_solve(sc, mode).objective_nats
+        assert rep.objective_nats > 3.10042 + 1e-3
 
 
 class TestMacSolve:
@@ -331,7 +359,7 @@ class TestDwfBounded:
             assert np.all(cum <= upper + 1e-9)
             assert np.all(cum >= upper - capacity - 1e-9)
             assert cum[-1] == pytest.approx(upper[-1], abs=1e-9)
-            if any(math.isfinite(lev.cap()) for lev in levels):
+            if any(math.isfinite(lev.cap) for lev in levels):
                 continue
 
             def value(x):
