@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 input error, 2 solver non-convergence,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -27,6 +28,7 @@ EXIT_NONCONVERGED = 2
 EXIT_VERIFY = 3
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="ehcoop",

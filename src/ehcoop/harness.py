@@ -26,6 +26,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -51,11 +52,11 @@ BASELINE_NAMES = {b.value: b for b in baselines.BaselineKind}
 
 
 def _capacity(x):
-    if isinstance(x, str):
-        if x.lower() in ("inf", "infinite"):
-            return INFINITE
-        raise InputError(f"battery capacity must be a number or 'inf', got {x!r}")
-    return float(x)
+    if isinstance(x, str) and x.lower() in ("inf", "infinite"):
+        return INFINITE
+    if isinstance(x, numbers.Real) and not isinstance(x, bool):
+        return float(x)
+    raise InputError(f"battery capacity must be a number or 'inf', got {x!r}")
 
 
 def scenario_from_dict(d: dict) -> Scenario:

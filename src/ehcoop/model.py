@@ -241,7 +241,7 @@ def rate(model_kind: ModelKind, p1: float, p2: float, sc: Scenario) -> float:
     """Per-slot sum-capacity in nats for transmit powers p1, p2 (mW)."""
     if p1 < 0 or p2 < 0:
         raise InputError("transmit powers must be non-negative")
-    n1, n2 = sc.effective_noise_mw
+    n1, n2 = sc.effective_noise_mw.tolist()
     if model_kind is ModelKind.TWC:
         return 0.5 * math.log1p(p1 / n1) + 0.5 * math.log1p(p2 / n2)
     if model_kind is ModelKind.THC:

@@ -6,7 +6,9 @@ rate, the resulting rate, and the marginal water levels.  The levels are
 exact: piecewise affine in a node's own consumed power (level_pieces).
 
 All functions take consumed powers in mW (equivalently mJ for unit slots)
-and read effective noises and efficiencies from the Scenario.
+and read effective noises and efficiencies from the Scenario, as Python
+floats (through .tolist()): numpy scalars give the same values at about
+twice the cost per operation.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ def _check_powers(pb1, pb2):
 
 def applied_rate(model_kind, pb1, pb2, delta, sc) -> float:
     """Slot capacity after applying transfers delta=(d1,d2) to (pb1,pb2)."""
-    a1, a2 = sc.transfer_efficiency
+    a1, a2 = sc.transfer_efficiency.tolist()
     p1 = pb1 - delta[0] + a2 * delta[1]
     p2 = pb2 - delta[1] + a1 * delta[0]
     return rate(model_kind, max(p1, 0.0), max(p2, 0.0), sc)
@@ -52,8 +54,8 @@ def twc_transfer(pb1, pb2, sc: Scenario) -> SlotTransfer:
     """Two-way channel: the positive candidate of
     d_k = min(pb_k, [ (n_k+pb_k) - (n_j+pb_j)/a_k ]+ / 2) wins."""
     _check_powers(pb1, pb2)
-    n1, n2 = sc.effective_noise_mw
-    a1, a2 = sc.transfer_efficiency
+    n1, n2 = sc.effective_noise_mw.tolist()
+    a1, a2 = sc.transfer_efficiency.tolist()
     pb = (pb1, pb2)
     nn = (n1, n2)
     aa = (a1, a2)
@@ -80,8 +82,8 @@ def twc_transfer(pb1, pb2, sc: Scenario) -> SlotTransfer:
 
 def twc_case_rate(pb1, pb2, regime: Regime, sc: Scenario) -> float:
     """The five-case closed form for the optimal-transfer slot rate."""
-    n1, n2 = sc.effective_noise_mw
-    a1, a2 = sc.transfer_efficiency
+    n1, n2 = sc.effective_noise_mw.tolist()
+    a1, a2 = sc.transfer_efficiency.tolist()
     if regime is Regime.NO_TRANSFER:
         return 0.5 * math.log1p(pb1 / n1) + 0.5 * math.log1p(pb2 / n2)
     if regime is Regime.INTERIOR_1:
@@ -97,14 +99,14 @@ def twc_case_rate(pb1, pb2, regime: Regime, sc: Scenario) -> float:
 
 def _thc_weights(sc):
     # w_k = sigma_k^2 * h_k, up to a common factor: w1:w2 == n2:n1
-    n1, n2 = sc.effective_noise_mw
+    n1, n2 = sc.effective_noise_mw.tolist()
     return n2, n1
 
 
 def thc_transfer(pb1, pb2, sc: Scenario) -> SlotTransfer:
     """Two-hop channel: transfer equalizes the two received powers."""
     _check_powers(pb1, pb2)
-    a1, a2 = sc.transfer_efficiency
+    a1, a2 = sc.transfer_efficiency.tolist()
     w1, w2 = _thc_weights(sc)
     d1 = d2 = 0.0
     regime = Regime.NO_TRANSFER
@@ -121,7 +123,7 @@ def thc_transfer(pb1, pb2, sc: Scenario) -> SlotTransfer:
 
 def _mac_coeffs(sc):
     # per-user SNR coefficients of the sum-capacity, c_k = 1/n_k
-    n1, n2 = sc.effective_noise_mw
+    n1, n2 = sc.effective_noise_mw.tolist()
     return 1.0 / n1, 1.0 / n2
 
 
@@ -131,7 +133,7 @@ def mac_sends(sc: Scenario) -> tuple:
     User k sends iff a_k*c_j > c_k strictly; ties resolve to no transfer.
     """
     c1, c2 = _mac_coeffs(sc)
-    a1, a2 = sc.transfer_efficiency
+    a1, a2 = sc.transfer_efficiency.tolist()
     return a1 * c2 > c1, a2 * c1 > c2
 
 
@@ -182,8 +184,9 @@ def level_pieces(model_kind, k, q, sc: Scenario) -> tuple:
     if k not in (1, 2):
         raise InputError("node index k must be 1 or 2")
     ki = k - 1
-    n, m = sc.effective_noise_mw[ki], sc.effective_noise_mw[1 - ki]
-    a, b = sc.transfer_efficiency[ki], sc.transfer_efficiency[1 - ki]
+    nn, aa = sc.effective_noise_mw.tolist(), sc.transfer_efficiency.tolist()
+    n, m = nn[ki], nn[1 - ki]
+    a, b = aa[ki], aa[1 - ki]
     if model_kind is ModelKind.TWC:
         # regimes by own power: the other node sends all, part, nobody sends,
         # node k sends all, node k sends part
@@ -202,7 +205,7 @@ def level_pieces(model_kind, k, q, sc: Scenario) -> tuple:
         # w_k is proportional to the other node's noise: the kink is at m*x == n*q
         send = (0.0, math.inf) if a == 0 else (1.0, n + (m + q) / a)
         return _pieces([(n * q / m, 1.0, n + b * (m + q)), (math.inf, *send)])
-    c, send, aa = _mac_coeffs(sc), mac_sends(sc), sc.transfer_efficiency
+    c, send = _mac_coeffs(sc), mac_sends(sc)
     g = [aa[i] * c[1 - i] if send[i] else c[i] for i in range(2)]
     return ((0.0, 1.0, (1.0 + g[1 - ki] * q) / g[ki]),)
 

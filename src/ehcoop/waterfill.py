@@ -92,26 +92,28 @@ class _SlotLevel:
     """Water level of one node in one slot as a function of own consumed
     power, from its affine pieces (start, slope, intercept): strictly
     increasing with jumps, and flat past the start of an intercept-inf piece.
-    `cap` is the most power the slot can use; `knots` are the levels where
-    inv changes slope (each finite piece's value at its start and its left
-    limit at its end)."""
+    Each piece is kept as a row (start, slope, intercept, end, level at
+    start).  `cap` is the most power the slot can use; `knots` are the levels
+    where inv changes slope (each finite piece's value at its start and its
+    left limit at its end)."""
 
     def __init__(self, pieces):
-        self.pieces = pieces
-        self.ends = [piece[0] for piece in pieces[1:]] + [math.inf]
+        ends = [piece[0] for piece in pieces[1:]] + [math.inf]
+        self.rows = [(start, slope, icpt, end, slope * start + icpt)
+                     for (start, slope, icpt), end in zip(pieces, ends)]
         self.cap = pieces[-1][0] if math.isinf(pieces[-1][2]) else math.inf
         knots = []
-        for (start, slope, icpt), end in zip(pieces, self.ends):
+        for start, slope, icpt, end, low in self.rows:
             if math.isfinite(icpt):
-                knots += [slope * start + icpt, slope * end + icpt]
+                knots += [low, slope * end + icpt]
         self.knots = [x for x in knots if math.isfinite(x)]
 
     def inv(self, target):
         """Largest p with level(p) <= target: solve the piece that contains
         the target, or return the piece start when the target falls in a
         jump."""
-        for (start, slope, icpt), end in zip(self.pieces, self.ends):
-            if target <= slope * start + icpt:
+        for start, slope, icpt, end, low in self.rows:
+            if target <= low:
                 return start
             p = max((target - icpt) / slope, start)  # monotone despite rounding
             if p < end:
@@ -119,8 +121,17 @@ class _SlotLevel:
 
 
 def _slot_levels(model_kind, k, other_powers, sc):
-    return [_SlotLevel(transfer.level_pieces(model_kind, k, float(q), sc))
-            for q in other_powers]
+    return [_SlotLevel(transfer.level_pieces(model_kind, k, q, sc))
+            for q in np.asarray(other_powers, dtype=float).tolist()]
+
+
+def _relevel(levels, model_kind, k, other_powers, slots, sc):
+    """A copy of `levels` with `slots` rebuilt for new other-node powers; the
+    same list _slot_levels would build when only those slots' powers moved."""
+    out = list(levels)
+    for i in slots:
+        out[i] = _SlotLevel(transfer.level_pieces(model_kind, k, float(other_powers[i]), sc))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -138,11 +149,12 @@ def _solve_pool(slots, levels, budget):
     when the slots' flat directions cap the pool below the budget.
     """
     pool = [levels[i] for i in slots]
-    if budget <= ENERGY_TOL:
+    if budget <= 0:
         return [0.0] * len(pool), 0.0, 0.0
     caps = [lev.cap for lev in pool]
     cap_total = sum(caps)
-    if cap_total < budget - ENERGY_TOL:
+    # slots all flat from zero have no knots and take nothing
+    if cap_total < budget - ENERGY_TOL or cap_total == 0:
         return caps, math.inf, budget - cap_total
 
     def fill(level):
@@ -158,7 +170,7 @@ def _solve_pool(slots, levels, budget):
         # past the last knot only unbounded last pieces still rise; with none
         # the budget is within ENERGY_TOL of the caps
         level = knots[-1]
-        rise = sum(1.0 / lev.pieces[-1][1] for lev in pool if math.isinf(lev.cap))
+        rise = sum(1.0 / lev.rows[-1][1] for lev in pool if math.isinf(lev.cap))
         if rise > 0:
             level += (budget - fill(level)) / rise
     return [lev.inv(level) for lev in pool], level, 0.0
@@ -225,6 +237,7 @@ def _dwf_bounded(arrivals, capacity, levels):
     upper = np.cumsum(arrivals)
     lower = upper - capacity
     lower[-1] = upper[-1]
+    upper, lower = upper.tolist(), lower.tolist()
     n = len(upper)
     out = np.zeros(n)
     i0, b0 = 0, 0.0
@@ -341,8 +354,8 @@ def _levels_at(model_kind, pb, ssc):
 
 def _capacity_objective(model_kind, pb, ssc):
     total = 0.0
-    for i in range(pb.shape[1]):
-        total += transfer.slot_transfer(model_kind, pb[0, i], pb[1, i], ssc).rate_nats
+    for p1, p2 in zip(*pb.tolist()):
+        total += transfer.slot_transfer(model_kind, p1, p2, ssc).rate_nats
     return total
 
 
@@ -369,10 +382,12 @@ def _build_report(sc, eff, ssc, pb, mode, iterations, converged, trace):
 # block coordinate descent (infinite battery)
 
 
-def _dwf_full(ki, pb, ssc):
+def _dwf_full(ki, pb, ssc, levels=None):
     """Re-solve node ki's whole allocation with the other node's held fixed.
-    With any finite battery every arrival is consumed by the last slot."""
-    levels = _slot_levels(ssc.model_kind, ki + 1, pb[1 - ki], ssc)
+    With any finite battery every arrival is consumed by the last slot.
+    `levels`, when given, are node ki's slot levels for pb's other row."""
+    if levels is None:
+        levels = _slot_levels(ssc.model_kind, ki + 1, pb[1 - ki], ssc)
     if all(math.isinf(c) for c in ssc.battery_capacity):
         pb[ki] = _dwf_single(ssc.harvests[ki], levels)
     else:
@@ -425,12 +440,14 @@ def _joint_polish(pb, ssc):
     improved = False
     for k in range(2):
         for i in range(ssc.n_slots - 1):
+            levels = _slot_levels(ssc.model_kind, 2 - k, pb[k], ssc)
 
-            def move(t, k=k, i=i):
+            def move(t, k=k, i=i, levels=levels):
                 trial = pb.copy()
                 trial[k, i] -= t
                 trial[k, i + 1] += t
-                _dwf_full(1 - k, trial, ssc)
+                _dwf_full(1 - k, trial, ssc,
+                          _relevel(levels, ssc.model_kind, 2 - k, trial[k], (i, i + 1), ssc))
                 return trial
 
             trial, base = _search_move(base, pb[k, i], move, obj)
@@ -612,19 +629,20 @@ def _joint_polish_finite(pb, ssc):
             room = float(np.min(cap[k] - states[k][i:m])) \
                 if math.isfinite(cap[k]) else math.inf
             stored = float(np.min(states[k][i:m]))
+            levels = _slot_levels(model, j + 1, pb[k], ssc)
 
-            def fwd(t, k=k, j=j):
+            def fwd(t, k=k, j=j, levels=levels):
                 trial = pb.copy()
                 trial[k, i] -= t
                 trial[k, m] += t
-                _dwf_full(j, trial, ssc)
+                _dwf_full(j, trial, ssc, _relevel(levels, model, j + 1, trial[k], (i, m), ssc))
                 return trial
 
-            def bwd(t, k=k, j=j):
+            def bwd(t, k=k, j=j, levels=levels):
                 trial = pb.copy()
                 trial[k, m] -= t
                 trial[k, i] += t
-                _dwf_full(j, trial, ssc)
+                _dwf_full(j, trial, ssc, _relevel(levels, model, j + 1, trial[k], (i, m), ssc))
                 return trial
 
             trial, base2 = _search_move(base, min(pb[k, i], room), fwd, obj)

@@ -200,6 +200,27 @@ class TestCli:
         assert cli.main(["verify", "--config", cfg, "--grid-points", grid_points]) == 1
         assert "error: grid_points" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    @pytest.mark.parametrize("capacity", [None, [1], True, "full"])
+    def test_non_numeric_capacity_is_input_error(self, tmp_path, capsys, command, capacity):
+        d = dict(VALID_SCENARIO, battery_capacity_mJ=[capacity, "inf"])
+        cfg = write_json(tmp_path, "sc.json", d)
+        assert cli.main([command, "--config", cfg]) == 1
+        assert "error: battery capacity" in capsys.readouterr().err
+
+    def test_repeated_calls_share_no_state(self, tmp_path, capsys, monkeypatch):
+        cfg = write_json(tmp_path, "sc.json", VALID_SCENARIO)
+        assert cli.main(["solve", "--config", cfg, "--bits"]) == 0
+        assert cli.main(["solve", "--config", cfg]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].endswith(" bits") and out[1].endswith(" nats")
+        seen = []
+        monkeypatch.setattr(harness, "verify_scenario",
+                            lambda sc, grid_points: seen.append(grid_points) or (True, []))
+        assert cli.main(["verify", "--config", cfg, "--grid-points", "5"]) == 0
+        assert cli.main(["verify", "--config", cfg]) == 0
+        assert seen == [5, 40]
+
     def test_config_directory_is_input_error(self, tmp_path, capsys):
         assert cli.main(["verify", "--config", str(tmp_path)]) == 1
         assert "error:" in capsys.readouterr().err

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import level_rate, make_scenario
-from ehcoop.model import ModelKind
+from ehcoop.model import ModelKind, rate
 from ehcoop.transfer import (
     Regime,
     applied_rate,
+    level_pieces,
     mac_transfer,
     slot_transfer,
     thc_transfer,
@@ -171,3 +172,22 @@ class TestSlotTransferDispatch:
         assert slot_transfer(ModelKind.TWC, 2.0, 0.0, sc_twc).delta[0] == pytest.approx(0.5)
         sc_thc = make_scenario(model=ModelKind.THC, alpha=(0.5, 0.0))
         assert slot_transfer(ModelKind.THC, 4.0, 0.0, sc_thc).delta[0] == pytest.approx(8 / 3)
+
+
+class TestFloatKernels:
+    @pytest.mark.parametrize("model", list(ModelKind))
+    def test_python_floats_stay_python_floats(self, model):
+        # the kernels read the channel constants as Python floats; a numpy
+        # scalar leaking into a delta or a piece slows every later step
+        rng = np.random.default_rng(83)
+        for trial in range(20):
+            sc, pb1, pb2 = rand_draw(rng, model)
+            if trial % 3 == 1:
+                sc = sc.with_efficiency(0.0, sc.transfer_efficiency[1])
+            st = slot_transfer(model, pb1, pb2, sc)
+            assert all(type(d) is float for d in st.delta)
+            assert type(st.rate_nats) is float
+            assert type(rate(model, pb1, pb2, sc)) is float
+            for k, q in ((1, pb2), (2, pb1)):
+                pieces = level_pieces(model, k, q, sc)
+                assert all(type(x) is float for piece in pieces for x in piece)

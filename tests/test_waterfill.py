@@ -13,11 +13,17 @@ from ehcoop.model import (
     check_procrastinating,
     objective,
 )
+from ehcoop import transfer, waterfill
 from ehcoop.transfer import level_at, level_pieces, slot_transfer
 from ehcoop.waterfill import (
     CooperationMode,
     _dwf_bounded,
+    _dwf_full,
+    _joint_polish,
+    _relevel,
     _slot_levels,
+    _solve_pool,
+    effective_scenario,
     bcd_solve,
     dwf_finite,
     dwf_node,
@@ -27,6 +33,17 @@ from ehcoop.waterfill import (
     staircase,
     thc_solve,
 )
+
+
+def inf_bcd_entry_5():
+    """Default-seed inf-bcd benchmark entry 5, a THC scenario run in uni12 mode."""
+    return make_scenario(
+        model=ModelKind.THC, alpha=(0.851707535743012, 0.39750446577192267),
+        gain_db=(-101.08019059423032, -101.13770443240817),
+        harvests=((8.934024143000807, 2.110462928971449, 8.774747788063266,
+                   2.5366749042111914),
+                  (2.060685001538436, 7.392458420226436, 0.6774147636666639,
+                   8.131790738474313)))
 
 
 def single_node_sc(harvests1, model=ModelKind.TWC):
@@ -156,6 +173,20 @@ class TestStaircase:
         with pytest.raises(InputError, match="capacity"):
             staircase([1.0, 2.0, 0.5], capacity)
 
+    @pytest.mark.parametrize("arrivals, capacity", [([1e-12, 3.0, 0.0], 0.5),
+                                                    ([1e-13, 0.0, 0.0], INFINITE)])
+    def test_consumes_sub_tolerance_arrivals(self, arrivals, capacity):
+        assert staircase(arrivals, capacity).sum() == pytest.approx(sum(arrivals), abs=1e-15)
+
+
+class TestSolvePool:
+    def test_all_flat_pool_returns_budget_as_surplus(self):
+        # two-hop node 1 with a1 = 0 and the other node silent: every slot's
+        # level is flat from zero, so the pool has no knots
+        sc = make_scenario(model=ModelKind.THC, alpha=(0.0, 0.5))
+        levels = _slot_levels(ModelKind.THC, 1, [0.0, 0.0], sc)
+        assert _solve_pool([0, 1], levels, 5e-12) == ([0.0, 0.0], math.inf, 5e-12)
+
 
 class TestMacReduce:
     def test_equal_channels(self):
@@ -221,19 +252,58 @@ class TestThcSolve:
         assert thc_solve(sc).objective_nats == 0.0
 
     def test_bcd_solve_refines_two_hop(self):
-        # inf-bcd benchmark entry 5 (default seed): alternating node solves
-        # alone stall at 3.10042 nats, below the combined-flow refinement
-        sc = make_scenario(
-            model=ModelKind.THC, alpha=(0.851707535743012, 0.39750446577192267),
-            gain_db=(-101.08019059423032, -101.13770443240817),
-            harvests=((8.934024143000807, 2.110462928971449, 8.774747788063266,
-                       2.5366749042111914),
-                      (2.060685001538436, 7.392458420226436, 0.6774147636666639,
-                       8.131790738474313)))
+        # alternating node solves alone stall at 3.10042 nats, below the
+        # combined-flow refinement
+        sc = inf_bcd_entry_5()
         mode = CooperationMode.UNI_1_TO_2
         rep = bcd_solve(sc, mode)
         assert rep.objective_nats == thc_solve(sc, mode).objective_nats
         assert rep.objective_nats > 3.10042 + 1e-3
+
+    def test_polish_probe_rebuilds_two_levels(self, monkeypatch):
+        # each line-search probe of a move between slots i and i+1 rebuilds
+        # only those two slot levels
+        sc = inf_bcd_entry_5()
+        ssc = effective_scenario(sc, CooperationMode.UNI_1_TO_2)
+        pb = np.array(ssc.harvests)
+        for ki in (0, 1):
+            _dwf_full(ki, pb, ssc)
+        calls = {"level_pieces": 0, "probes": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(transfer, "level_pieces",
+                            counted("level_pieces", transfer.level_pieces))
+        monkeypatch.setattr(waterfill, "_dwf_full", counted("probes", waterfill._dwf_full))
+        assert _joint_polish(pb, ssc)
+        n = sc.n_slots
+        moves = 2 * (n - 1)
+        assert calls["probes"] > moves
+        assert calls["level_pieces"] <= 2 * calls["probes"] + n * moves
+
+    @pytest.mark.parametrize("finite", [False, True])
+    def test_prebuilt_levels_match_full_rebuild(self, finite):
+        rng = np.random.default_rng(29)
+        for _ in range(40):
+            sc = random_scenario(rng, ModelKind.THC, finite=finite, n_max=6)
+            ssc = sc.with_efficiency(*rng.uniform(0, 1, size=2) * (rng.random(2) < 0.7))
+            n = ssc.n_slots
+            ki = int(rng.integers(0, 2))
+            pb = rng.uniform(0, 0.3, size=(2, n))
+            i, m = sorted(rng.choice(n, size=2, replace=False).tolist())
+            levels = _slot_levels(ModelKind.THC, ki + 1, pb[1 - ki], ssc)
+            t = rng.uniform(0, pb[1 - ki, i])
+            pb[1 - ki, i] -= t
+            pb[1 - ki, m] += t
+            moved, full = pb.copy(), pb.copy()
+            _dwf_full(ki, moved, ssc, _relevel(levels, ModelKind.THC, ki + 1,
+                                               pb[1 - ki], (i, m), ssc))
+            _dwf_full(ki, full, ssc)
+            assert np.array_equal(moved, full)
 
 
 class TestMacSolve:
