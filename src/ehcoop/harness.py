@@ -51,10 +51,14 @@ MODE_NAMES = {m.value: m for m in CooperationMode}
 BASELINE_NAMES = {b.value: b for b in baselines.BaselineKind}
 
 
+def _is_number(x, kind=numbers.Real):
+    return isinstance(x, kind) and not isinstance(x, bool)
+
+
 def _capacity(x):
     if isinstance(x, str) and x.lower() in ("inf", "infinite"):
         return INFINITE
-    if isinstance(x, numbers.Real) and not isinstance(x, bool):
+    if _is_number(x):
         return float(x)
     raise InputError(f"battery capacity must be a number or 'inf', got {x!r}")
 
@@ -143,8 +147,16 @@ class SweepSpec:
     def __post_init__(self):
         if self.swept_parameter not in ("peak_harvest_node1", "alpha1"):
             raise InputError("swept_parameter must be peak_harvest_node1 or alpha1")
-        if self.trials_per_point < 1:
-            raise InputError("trials_per_point must be >= 1")
+        if not (_is_number(self.trials_per_point, numbers.Integral)
+                and self.trials_per_point >= 1):
+            raise InputError(f"trials_per_point must be an integer >= 1, "
+                             f"got {self.trials_per_point!r}")
+        if not (_is_number(self.seed, numbers.Integral) and self.seed >= 0):
+            raise InputError(f"seed must be an integer >= 0, got {self.seed!r}")
+        for key in ("peak_harvest_node1", "peak_harvest_node2"):
+            x = getattr(self, key)
+            if not (_is_number(x) and 0 <= x < math.inf):
+                raise InputError(f"{key} must be a finite number >= 0, got {x!r}")
         if len(self.values) < 1:
             raise InputError("sweep needs at least one value")
         for m in self.modes:

@@ -6,7 +6,8 @@ capacities are rounded down to the energy quantum, so every DP policy is
 feasible under the exact dynamics and the DP value is a certified lower
 bound on the true optimum.  The DP solves each slot in two array steps,
 the best stored transfer per leftover energy and then the best consumption
-per state, and sizes each battery by the energy that can reach it.
+per state, over the battery states the slot can reach, and sizes each
+battery by the energy that can reach it.
 """
 
 from __future__ import annotations
@@ -65,8 +66,14 @@ def dp_solve(sc: Scenario, cfg: DpConfig = DpConfig()):
     of a finite battery is min(floor(c / q), both nodes' total harvested
     quanta): since alpha <= 1, no state above it is reachable.  An infinite
     battery is sized by its own total harvest, or by both nodes' when
-    stored transfers can reach it.  Returns (objective lower bound in nats,
-    TransferPolicy).
+    stored transfers can reach it.
+
+    Slot i visits only the states it can reach: each battery carries at
+    most R_i quanta into it, where R_0 = 0 and R_{i+1} is R_i + h_i plus
+    what a stored transfer of all the other node's R_i + h_i would deliver,
+    clipped at the capacity.  The rates of all consumptions up to
+    max_i(R_i + h_i) come from one transfer.rate_grid call.  Returns
+    (objective lower bound in nats, TransferPolicy).
     """
     ssc = sc.unit_slot()
     q = cfg.quantum_for(sc)
@@ -84,31 +91,34 @@ def dp_solve(sc: Scenario, cfg: DpConfig = DpConfig()):
             f"DP state space {n_states} exceeds max_states={cfg.max_states}; "
             f"increase energy_quantum_mJ (currently {q:g} mJ) or max_states")
 
-    bmax1 = s1max + int(np.max(h[0]))
-    bmax2 = s2max + int(np.max(h[1]))
-    rate_tab = np.zeros((bmax1 + 1, bmax2 + 1))
-    for b1 in range(bmax1 + 1):
-        for b2 in range(bmax2 + 1):
-            rate_tab[b1, b2] = transfer.slot_transfer(
-                ssc.model_kind, b1 * q, b2 * q, ssc).rate_nats
-
     def received(k, e):
         return int(alpha[k] * e + 1e-9)
 
-    V = np.zeros((s1max + 1, s2max + 1))
+    # reach[i]: the most quanta each battery can carry into slot i, have[i]:
+    # the most it can hold after slot i's harvest
+    reach, have = [(0, 0)], []
+    for i in range(n):
+        m1, m2 = reach[i][0] + int(h[0, i]), reach[i][1] + int(h[1, i])
+        got1, got2 = (received(1, m2), received(0, m1)) if use_eps else (0, 0)
+        have.append((m1, m2))
+        reach.append((min(m1 + got1, s1max), min(m2 + got2, s2max)))
+    bmax1, bmax2 = map(max, zip(*have))
+    rate_tab = transfer.rate_grid(ssc.model_kind, np.arange(bmax1 + 1) * q,
+                                  np.arange(bmax2 + 1) * q, ssc)
+
+    V = np.zeros((reach[n][0] + 1, reach[n][1] + 1))
     # per slot: consumed quanta b1 * width + b2 per state (s1, s2) and the
     # stored transfer per leftover (m1, m2), +e1 if node 1 sends, -e2 if node 2
     width = bmax2 + 1
     consume = [None] * n
     send = [None] * n
-    s1_axis = np.arange(s1max + 1)
-    s2_axis = np.arange(s2max + 1)
     for i in range(n - 1, -1, -1):
         h1i, h2i = int(h[0, i]), int(h[1, i])
-        m1_axis = np.arange(s1max + h1i + 1)
-        m2_axis = np.arange(s2max + h2i + 1)
+        s1_axis, s2_axis = np.arange(reach[i][0] + 1), np.arange(reach[i][1] + 1)
+        m1_axis, m2_axis = np.arange(have[i][0] + 1), np.arange(have[i][1] + 1)
         M1, M2 = len(m1_axis), len(m2_axis)
 
+        # every next state below is within reach[i + 1], the extent of V
         U = V[np.ix_(np.minimum(m1_axis, s1max), np.minimum(m2_axis, s2max))]
         E = np.zeros((M1, M2), dtype=int)
         if use_eps:
@@ -125,8 +135,8 @@ def dp_solve(sc: Scenario, cfg: DpConfig = DpConfig()):
         U = np.concatenate([U, np.full((M1, 1), -math.inf)], axis=1)
         col = s2_axis[:, None] + h2i - m2_axis[None, :]
         col[col < 0] = M2
-        best = np.full((s1max + 1, s2max + 1), -math.inf)
-        B = np.zeros((s1max + 1, s2max + 1), dtype=int)
+        best = np.full((len(s1_axis), len(s2_axis)), -math.inf)
+        B = np.zeros(best.shape, dtype=int)
         for b1 in range(M1):
             lo1 = max(0, b1 - h1i)
             cand = rate_tab[b1, :M2] + U[s1_axis[lo1:] + h1i - b1][:, col]

@@ -8,7 +8,8 @@ exact: piecewise affine in a node's own consumed power (level_pieces).
 All functions take consumed powers in mW (equivalently mJ for unit slots)
 and read effective noises and efficiencies from the Scenario, as Python
 floats (through .tolist()): numpy scalars give the same values at about
-twice the cost per operation.
+twice the cost per operation.  rate_grid is the array form of the slot
+rate, for tables over many consumed powers at once (the DP oracle).
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .model import InputError, ModelKind, Scenario, rate
 
@@ -159,6 +162,48 @@ def slot_transfer(model_kind, pb1, pb2, sc: Scenario) -> SlotTransfer:
     if model_kind is ModelKind.THC:
         return thc_transfer(pb1, pb2, sc)
     return mac_transfer(pb1, pb2, sc)
+
+
+def rate_grid(model_kind, pb1, pb2, sc: Scenario) -> np.ndarray:
+    """slot_transfer(model_kind, x, y, sc).rate_nats for every x in pb1 and
+    y in pb2, as an array of shape (len(pb1), len(pb2)).
+
+    One array expression per model, with the regime tests, BOUNDARY_TOL and
+    closed forms of the scalar functions above; the values agree with them
+    to within the last bits of the logarithms.
+    """
+    x = np.asarray(pb1, dtype=float)[:, None]
+    y = np.asarray(pb2, dtype=float)[None, :]
+    _check_powers(x.min(), y.min())
+    n1, n2 = sc.effective_noise_mw.tolist()
+    a1, a2 = sc.transfer_efficiency.tolist()
+    if model_kind is ModelKind.TWC:
+        # the alpha = 0 branches divide by zero; the regime tests never pick them
+        with np.errstate(divide="ignore", invalid="ignore"):
+            raw1 = 0.5 * ((n1 + x) - (n2 + y) / a1) if a1 > 0 else np.full_like(x, -math.inf)
+            raw2 = 0.5 * ((n2 + y) - (n1 + x) / a2) if a2 > 0 else np.full_like(y, -math.inf)
+            one = (raw1 >= -BOUNDARY_TOL) & (raw1 > raw2)
+            two = ~one & (raw2 >= -BOUNDARY_TOL)
+            return np.select(
+                [one & (raw1 > x + BOUNDARY_TOL), one,
+                 two & (raw2 > y + BOUNDARY_TOL), two],
+                [0.5 * np.log1p((y + a1 * x) / n2),
+                 np.log(0.5 * ((n1 + x) + (n2 + y) / a1) * math.sqrt(a1 / (n1 * n2))),
+                 0.5 * np.log1p((x + a2 * y) / n1),
+                 np.log(0.5 * ((n2 + y) + (n1 + x) / a2) * math.sqrt(a2 / (n1 * n2)))],
+                0.5 * np.log1p(x / n1) + 0.5 * np.log1p(y / n2))
+    if model_kind is ModelKind.THC:
+        num = n2 * x - n1 * y        # w1 * pb1 - w2 * pb2, as in thc_transfer
+        d1 = np.where(num > BOUNDARY_TOL, num / (a1 * n1 + n2), 0.0) if a1 > 0 else 0.0
+        d2 = np.where(num < -BOUNDARY_TOL, -num / (a2 * n2 + n1), 0.0) if a2 > 0 else 0.0
+    else:
+        send1, send2 = mac_sends(sc)
+        d1, d2 = (x if send1 else 0.0), (y if send2 else 0.0)
+    p1 = np.maximum(x - d1 + a2 * d2, 0.0)
+    p2 = np.maximum(y - d2 + a1 * d1, 0.0)
+    if model_kind is ModelKind.THC:
+        return np.minimum(0.5 * np.log1p(p1 / n1), 0.5 * np.log1p(p2 / n2))
+    return 0.5 * np.log1p(p1 / n1 + p2 / n2)
 
 
 def _pieces(regions):

@@ -1,11 +1,16 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import make_scenario
+import ehcoop
 from ehcoop import cli, harness
 from ehcoop.model import INFINITE, InputError, ModelKind, check_feasible
 from ehcoop.waterfill import solve
@@ -187,6 +192,31 @@ class TestCli:
         cfg = write_json(tmp_path, "sweep.json", sweep)
         assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", [
+        dict(trials_per_point=2.5), dict(trials_per_point=0), dict(trials_per_point=True),
+        dict(seed=-1), dict(seed=1.5), dict(peak_harvest_node1=-1.0),
+        dict(peak_harvest_node2="x"), dict(peak_harvest_node2=None),
+    ])
+    def test_sweep_malformed_number_is_input_error(self, tmp_path, capsys, field):
+        sweep = dict({"base_scenario": VALID_SCENARIO, "swept_parameter": "alpha1",
+                      "values": [0.5], "modes": ["bidirectional"]}, **field)
+        cfg = write_json(tmp_path, "sweep.json", sweep)
+        assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert next(iter(field)) in err
+
+    def test_python_m_ehcoop(self, tmp_path):
+        d = dict(VALID_SCENARIO, harvests_mJ=[[0.4, 1.0], [0.2, 0.6]])
+        cfg = write_json(tmp_path, "sc.json", d)
+        src = str(Path(ehcoop.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "ehcoop", "verify", "--config", cfg],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "PASS"
 
     def test_verify_passes(self, tmp_path, capsys):
         d = dict(VALID_SCENARIO, harvests_mJ=[[0.4, 1.0], [0.2, 0.6]])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import make_scenario
+from ehcoop import transfer
 from ehcoop.model import INFINITE, InputError, ModelKind, Scenario, check_feasible, objective
 from ehcoop.oracle import DpConfig, dp_solve, grid_transfer_max
 from ehcoop.transfer import slot_transfer
@@ -121,6 +122,41 @@ class TestDpSolve:
             assert objective(policy, sc) >= value - 1e-9
             values.append(value)
         assert values[0] == values[1]
+
+    @pytest.mark.parametrize("model", list(ModelKind))
+    @pytest.mark.parametrize("finite", [False, True])
+    def test_scalar_transfers_only_rebuild_the_policy(self, model, finite, monkeypatch):
+        calls = []
+        scalar = transfer.slot_transfer
+        monkeypatch.setattr(transfer, "slot_transfer",
+                            lambda *args: calls.append(args) or scalar(*args))
+        sc = make_scenario(model=model, capacity=(3.0, 4.0) if finite else (INFINITE, INFINITE))
+        dp_solve(sc, DpConfig(grid_points=20))
+        assert len(calls) <= sc.n_slots
+
+    @pytest.mark.parametrize("model", list(ModelKind))
+    @pytest.mark.parametrize("case", ["last-slot", "burst"])
+    def test_reachable_states_match_reference(self, model, case, monkeypatch):
+        # the rate table spans only reachable consumptions: with every harvest
+        # in the last slot, each node's own harvest; in the burst, node 1's
+        # 6 quanta and the 5 that node 2 can receive from them
+        q = 0.5
+        if case == "last-slot":
+            harvests, capacity, shape = [(0.0, 0.0, 2.0), (0.0, 0.0, 1.5)], (1.0, INFINITE), (5, 4)
+        else:
+            harvests, capacity, shape = [(3.0, 0.0, 0.0), (0.0, 0.0, 0.0)], (0.5, 3.0), (7, 6)
+        sc = make_scenario(model=model, harvests=harvests, capacity=capacity,
+                           alpha=(0.9, 0.9), gain_db=(-90.0, -90.0))
+        shapes = []
+        grid = transfer.rate_grid
+        monkeypatch.setattr(transfer, "rate_grid",
+                            lambda *args: shapes.append((len(args[1]), len(args[2])))
+                            or grid(*args))
+        value, policy = dp_solve(sc, DpConfig(energy_quantum_mJ=q))
+        assert shapes == [shape]
+        assert value == pytest.approx(reference_dp_value(sc, q), abs=1e-12)
+        assert check_feasible(policy, sc).feasible
+        assert objective(policy, sc) >= value - 1e-9
 
     @pytest.mark.parametrize("kwargs", [
         dict(grid_points=0), dict(grid_points=-5),

@@ -10,6 +10,7 @@ from ehcoop.transfer import (
     applied_rate,
     level_pieces,
     mac_transfer,
+    rate_grid,
     slot_transfer,
     thc_transfer,
     twc_case_rate,
@@ -191,3 +192,41 @@ class TestFloatKernels:
             for k, q in ((1, pb2), (2, pb1)):
                 pieces = level_pieces(model, k, q, sc)
                 assert all(type(x) is float for piece in pieces for x in piece)
+
+
+class TestRateGrid:
+    @staticmethod
+    def assert_matches_scalar(model, pb1, pb2, sc):
+        grid = rate_grid(model, pb1, pb2, sc)
+        assert grid.shape == (len(pb1), len(pb2))
+        for x, row in zip(pb1, grid.tolist()):
+            for y, value in zip(pb2, row):
+                ref = slot_transfer(model, x, y, sc).rate_nats
+                assert abs(value - ref) <= 1e-15 * abs(ref)
+
+    @pytest.mark.parametrize("model", list(ModelKind))
+    @pytest.mark.parametrize("pattern", [(1, 1), (1, 0), (0, 1), (0, 0)])
+    def test_matches_slot_transfer(self, model, pattern):
+        rng = np.random.default_rng(97 + 4 * list(ModelKind).index(model) + 2 * pattern[0]
+                                    + pattern[1])
+        for _ in range(5):
+            sc, _, _ = rand_draw(rng, model)
+            sc = sc.with_efficiency(*(sc.transfer_efficiency * pattern))
+            pb1 = [0.0] + sorted(rng.uniform(0, 8, size=12).tolist())
+            pb2 = [0.0] + sorted(rng.uniform(0, 8, size=9).tolist())
+            self.assert_matches_scalar(model, pb1, pb2, sc)
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_twc_regime_boundaries(self, k):
+        # node k has the larger noise, so both of its regime boundaries lie at
+        # non-negative powers: raw_k = 0 where pb_j = a_k (n_k + pb_k) - n_j,
+        # and raw_k = pb_k where pb_j = a_k (n_k - pb_k) - n_j
+        gain_db, alpha = [-100.0, -100.0], [0.8, 0.8]
+        gain_db[k], alpha[k] = -105.0, 0.9
+        sc = make_scenario(alpha=alpha, gain_db=gain_db)
+        n, a = sc.effective_noise_mw.tolist(), sc.transfer_efficiency.tolist()
+        own = np.linspace(0.0, 1.5, 7).tolist()
+        other = ([a[k] * (n[k] + p) - n[1 - k] for p in own]
+                 + [a[k] * (n[k] - p) - n[1 - k] for p in own])
+        assert min(other) >= 0
+        self.assert_matches_scalar(ModelKind.TWC, *((own, other) if k == 0 else (other, own)), sc)
