@@ -32,16 +32,12 @@ from .transfer import (
 )
 from .waterfill import (
     CooperationMode,
-    MacReduction,
     SolveReport,
     bcd_solve,
     dwf_finite,
-    dwf_node,
-    mac_reduce,
     mac_solve,
     solve,
     staircase,
-    thc_solve,
 )
 from .oracle import DpConfig, dp_solve, grid_transfer_max
 from .baselines import BaselineKind, constant_power

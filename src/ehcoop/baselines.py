@@ -7,7 +7,7 @@ import enum
 import numpy as np
 
 from . import transfer
-from .model import Scenario, TransferPolicy
+from .model import DecomposedPolicy, Scenario, TransferPolicy, recover_transmit_powers
 
 
 class BaselineKind(enum.Enum):
@@ -32,15 +32,10 @@ def constant_power(sc: Scenario, kind: BaselineKind) -> TransferPolicy:
             avail = min(s[k] + sc.harvests[k, i], sc.battery_capacity[k])
             consumed[k, i] = min(avail / dt, target[k])
             s[k] = avail - consumed[k, i] * dt
-    p = consumed.copy()
     delta = np.zeros((2, n))
     if kind is BaselineKind.CONSTANT_POWER_WITH_COOP:
-        alpha = sc.transfer_efficiency
         for i in range(n):
-            st = transfer.slot_transfer(sc.model_kind,
-                                        consumed[0, i] * dt, consumed[1, i] * dt, sc)
-            delta[0, i], delta[1, i] = st.delta
-            for k in range(2):
-                j = 1 - k
-                p[k, i] = consumed[k, i] - delta[k, i] / dt + alpha[j] * delta[j, i] / dt
-    return TransferPolicy(p=np.maximum(p, 0.0), delta=delta)
+            delta[:, i] = transfer.slot_transfer(sc.model_kind, consumed[0, i] * dt,
+                                                 consumed[1, i] * dt, sc).delta
+    return recover_transmit_powers(
+        DecomposedPolicy(consumed, immediate=delta, stored=np.zeros((2, n))), sc)

@@ -47,12 +47,24 @@ from .waterfill import CooperationMode, SolveReport
 TOOL_VERSION = "ehcoop 0.1.0"
 RNG_NAME = "numpy Philox (counter-based), SeedSequence-keyed"
 
+MAX_SWEEP_POINTS = 10_000  # values a lo/hi/step sweep range may expand to
+
 MODE_NAMES = {m.value: m for m in CooperationMode}
 BASELINE_NAMES = {b.value: b for b in baselines.BaselineKind}
 
 
 def _is_number(x, kind=numbers.Real):
     return isinstance(x, kind) and not isinstance(x, bool)
+
+
+def _numbers(x, name):
+    """x, once each leaf of its nested lists is a real number (not a bool)."""
+    if isinstance(x, list):
+        for v in x:
+            _numbers(v, name)
+    elif not _is_number(x):
+        raise InputError(f"{name} must be numeric, got {x!r}")
+    return x
 
 
 def _capacity(x):
@@ -80,12 +92,12 @@ def scenario_from_dict(d: dict) -> Scenario:
         caps = [_capacity(c) for c in caps]
     return Scenario(
         model_kind=model,
-        harvests=d["harvests_mJ"],
+        harvests=_numbers(d["harvests_mJ"], "harvests_mJ"),
         battery_capacity=caps,
-        transfer_efficiency=d["transfer_efficiency"],
-        channel_gain_db=d["channel_gain_dB"],
-        noise_power_w=d["noise_power_W"],
-        slot_seconds=d.get("slot_seconds", 1.0),
+        transfer_efficiency=_numbers(d["transfer_efficiency"], "transfer_efficiency"),
+        channel_gain_db=_numbers(d["channel_gain_dB"], "channel_gain_dB"),
+        noise_power_w=_numbers(d["noise_power_W"], "noise_power_W"),
+        slot_seconds=_numbers(d.get("slot_seconds", 1.0), "slot_seconds"),
     )
 
 
@@ -170,11 +182,13 @@ def sweep_spec_from_dict(d: dict) -> SweepSpec:
     base = scenario_from_dict(d["base_scenario"])
     try:
         if "values" in d:
-            values = tuple(float(v) for v in d["values"])
+            values = tuple(float(_numbers(v, "values")) for v in d["values"])
         else:
-            lo, hi, step = float(d["lo"]), float(d["hi"]), float(d["step"])
+            lo, hi, step = (float(_numbers(d[key], key)) for key in ("lo", "hi", "step"))
             if not (lo <= hi and step > 0):
                 raise InputError("sweep range requires lo <= hi and step > 0")
+            if (hi - lo) / step + 1 > MAX_SWEEP_POINTS:
+                raise InputError(f"sweep range has more than {MAX_SWEEP_POINTS} points")
             values = tuple(np.arange(lo, hi + 0.5 * step, step))
         kwargs = {}
         for key in ("trials_per_point", "seed", "peak_harvest_node1", "peak_harvest_node2"):

@@ -114,10 +114,6 @@ class Scenario:
     def n_slots(self) -> int:
         return self.harvests.shape[1]
 
-    @property
-    def channel_gain_linear(self) -> np.ndarray:
-        return 10.0 ** (self.channel_gain_db / 10.0)
-
     def with_efficiency(self, alpha1, alpha2) -> "Scenario":
         return replace(self, transfer_efficiency=(alpha1, alpha2))
 
@@ -308,13 +304,9 @@ def check_partially_procrastinating(dp: DecomposedPolicy, sc: Scenario,
     """The three finite-battery conditions: procrastination of the immediate
     component, one-directional immediate transfers, and stored transfers only
     out of a full battery."""
-    alpha = sc.transfer_efficiency
-    dt = sc.slot_seconds
     policy = recover_transmit_powers(dp, sc)
-    for k in range(2):
-        j = 1 - k
-        if np.any(policy.p[k] * dt - alpha[j] * dp.immediate[j] < -tol):
-            return False
+    if not check_procrastinating(TransferPolicy(policy.p, dp.immediate), sc, tol):
+        return False
     if np.any(np.minimum(dp.immediate[0], dp.immediate[1]) > tol):
         return False
     trace = battery_trace(policy, sc)
@@ -382,8 +374,4 @@ def procrastinate_transform(policy: TransferPolicy, sc: Scenario) -> DecomposedP
         for k in range(2):
             s[k] = min(cap[k], s[k] + sc.harvests[k, i] - p[k, i] * dt - delta_i[k]
                        + alpha[1 - k] * delta_i[1 - k])
-    consumed = np.empty_like(p)
-    for k in range(2):
-        j = 1 - k
-        consumed[k] = p[k] + gamma[k] / dt - alpha[j] * gamma[j] / dt
-    return DecomposedPolicy(consumed=consumed, immediate=gamma, stored=eps)
+    return decompose(TransferPolicy(p, gamma + eps), sc, immediate=gamma)

@@ -20,12 +20,13 @@ import numpy as np
 from . import transfer
 from .model import DecomposedPolicy, InputError, Scenario, recover_transmit_powers
 
+MAX_STATES = 2_000_000  # joint battery states dp_solve accepts
+
 
 @dataclass(frozen=True)
 class DpConfig:
     energy_quantum_mJ: float | None = None
     grid_points: int = 40
-    max_states: int = 2_000_000
 
     def __post_init__(self):
         q = self.energy_quantum_mJ
@@ -86,10 +87,10 @@ def dp_solve(sc: Scenario, cfg: DpConfig = DpConfig()):
                     else total if use_eps else int(np.sum(h[k]))
                     for k, c in enumerate(ssc.battery_capacity))
     n_states = (s1max + 1) * (s2max + 1)
-    if n_states > cfg.max_states:
+    if n_states > MAX_STATES:
         raise InputError(
-            f"DP state space {n_states} exceeds max_states={cfg.max_states}; "
-            f"increase energy_quantum_mJ (currently {q:g} mJ) or max_states")
+            f"DP state space {n_states} exceeds max_states={MAX_STATES}; "
+            f"increase energy_quantum_mJ (currently {q:g} mJ)")
 
     def received(k, e):
         return int(alpha[k] * e + 1e-9)

@@ -124,20 +124,29 @@ def thc_transfer(pb1, pb2, sc: Scenario) -> SlotTransfer:
                         applied_rate(ModelKind.THC, pb1, pb2, (d1, d2), sc))
 
 
-def _mac_coeffs(sc):
-    # per-user SNR coefficients of the sum-capacity, c_k = 1/n_k
-    n1, n2 = sc.effective_noise_mw.tolist()
-    return 1.0 / n1, 1.0 / n2
-
-
 def mac_sends(sc: Scenario) -> tuple:
     """Whether each user transfers its whole power; a channel constant.
 
-    User k sends iff a_k*c_j > c_k strictly; ties resolve to no transfer.
+    With c_k = 1/n_k the per-user SNR coefficient of the sum-capacity, user
+    k sends iff a_k*c_j > c_k strictly; ties resolve to no transfer.
     """
-    c1, c2 = _mac_coeffs(sc)
+    n1, n2 = sc.effective_noise_mw.tolist()
     a1, a2 = sc.transfer_efficiency.tolist()
-    return a1 * c2 > c1, a2 * c1 > c2
+    return a1 * (1.0 / n2) > 1.0 / n1, a2 * (1.0 / n1) > 1.0 / n2
+
+
+def mac_gains(sc: Scenario) -> tuple:
+    """SNR per unit of consumed power of each MAC user, (g1, g2): with
+    c_k = 1/n_k, g_k = a_k*c_j when user k sends (mac_sends), else c_k; so
+    g_k is the larger of the two.
+
+    The slot rate is 0.5*log1p(g1*pb1 + g2*pb2), so the MAC is a single
+    node with arrivals g1*E1 + g2*E2.
+    """
+    n1, n2 = sc.effective_noise_mw.tolist()
+    a1, a2 = sc.transfer_efficiency.tolist()
+    c1, c2 = 1.0 / n1, 1.0 / n2
+    return max(a1 * c2, c1), max(a2 * c1, c2)
 
 
 def mac_transfer(pb1, pb2, sc: Scenario) -> SlotTransfer:
@@ -250,8 +259,7 @@ def level_pieces(model_kind, k, q, sc: Scenario) -> tuple:
         # w_k is proportional to the other node's noise: the kink is at m*x == n*q
         send = (0.0, math.inf) if a == 0 else (1.0, n + (m + q) / a)
         return _pieces([(n * q / m, 1.0, n + b * (m + q)), (math.inf, *send)])
-    c, send = _mac_coeffs(sc), mac_sends(sc)
-    g = [aa[i] * c[1 - i] if send[i] else c[i] for i in range(2)]
+    g = mac_gains(sc)
     return ((0.0, 1.0, (1.0 + g[1 - ki] * q) / g[ki]),)
 
 

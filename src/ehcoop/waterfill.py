@@ -4,11 +4,12 @@ Single-node generalized directional water-filling over the exact per-slot
 levels (piecewise affine, so each pool's common level is one linear
 solve), in two forms: a pool merge for an infinite battery, and the taut
 string between the cumulative arrivals and the overflow floor for a finite
-one.  The MAC reduces to a single node with aggregate arrivals, whose
-staircase sum-power policy is that same taut string with each slot's level
-equal to its power.  Around these: block coordinate descent across the two
-nodes, with a combined-flow refinement for the two-hop min-rate objective,
-and for finite batteries the nodes solved alternately.
+one.  The MAC reduces to a single node with SNR-weighted arrivals
+g1*E1 + g2*E2 (transfer.mac_gains), whose staircase policy is that same
+taut string with each slot's level equal to its power.  Around these:
+block coordinate descent across the two nodes, with a combined-flow
+refinement for the two-hop min-rate objective, and for finite batteries
+the nodes solved alternately.
 
 Solvers operate internally on a unit-slot copy of the scenario (noise
 scaled by slot length) so that consumed power and per-slot energy are the
@@ -71,17 +72,10 @@ class SolveReport:
     level_residual: float
     mode: CooperationMode
     converged: bool = True
-    objective_trace: tuple = ()
 
     @property
     def objective_bits(self) -> float:
         return self.objective_nats / math.log(2.0)
-
-
-@dataclass(frozen=True)
-class MacReduction:
-    alpha_star: tuple
-    aggregate: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -265,24 +259,6 @@ def _dwf_bounded(arrivals, capacity, levels):
     return out
 
 
-def dwf_node(k, consumed_other, sc: Scenario,
-             mode: CooperationMode = CooperationMode.BIDIRECTIONAL):
-    """Optimal consumed powers for node k (1 or 2) with the other node's
-    consumed powers held fixed.  Infinite battery only; returns mW."""
-    if not all(math.isinf(c) for c in sc.battery_capacity):
-        raise InputError("dwf_node requires INFINITE battery capacities")
-    eff = effective_scenario(sc, mode)
-    ssc = eff.unit_slot()
-    dt = sc.slot_seconds
-    other = np.asarray(consumed_other, dtype=float) * dt  # mW -> per-slot mJ
-    if other.shape != (sc.n_slots,):
-        raise InputError("consumed_other must have one entry per slot")
-    if np.any(other < 0):
-        raise InputError("consumed_other must be non-negative")
-    levels = _slot_levels(ssc.model_kind, k, other, ssc)
-    return _dwf_single(ssc.harvests[k - 1], levels) / dt
-
-
 # ---------------------------------------------------------------------------
 # certificates
 
@@ -359,7 +335,7 @@ def _capacity_objective(model_kind, pb, ssc):
     return total
 
 
-def _build_report(sc, eff, ssc, pb, mode, iterations, converged, trace):
+def _build_report(sc, eff, ssc, pb, mode, iterations, converged):
     """Assemble a SolveReport from converged consumed energies (2xN, mJ)."""
     n = sc.n_slots
     dt = sc.slot_seconds
@@ -374,8 +350,7 @@ def _build_report(sc, eff, ssc, pb, mode, iterations, converged, trace):
     residual = max(_node_level_residual(ssc.model_kind, ki, pb, ssc) for ki in range(2))
     return SolveReport(policy=dp, transmit=transmit, objective_nats=obj,
                        levels=levels, bcd_iterations=iterations,
-                       level_residual=residual, mode=mode, converged=converged,
-                       objective_trace=tuple(trace))
+                       level_residual=residual, mode=mode, converged=converged)
 
 
 # ---------------------------------------------------------------------------
@@ -457,15 +432,15 @@ def _joint_polish(pb, ssc):
     return improved
 
 
-def _bcd(sc, mode):
+def bcd_solve(sc: Scenario, mode: CooperationMode = CooperationMode.BIDIRECTIONAL) -> SolveReport:
+    """Alternating per-node directional water-filling; infinite battery.  A
+    two-hop scenario also gets the combined-flow (two-fluid) refinement."""
     if not all(math.isinf(c) for c in sc.battery_capacity):
         raise InputError("infinite-battery solver called with finite capacity")
     eff = effective_scenario(sc, mode)
     ssc = eff.unit_slot()
     model = ssc.model_kind
-    n = ssc.n_slots
     pb = np.array(ssc.harvests, dtype=float)
-    trace = []
     converged = False
     iterations = 0
     prev_obj = -math.inf
@@ -475,7 +450,6 @@ def _bcd(sc, mode):
         for ki in range(2):
             _dwf_full(ki, pb, ssc)
         obj = _capacity_objective(model, pb, ssc)
-        trace.append(obj * sc.slot_seconds)
         step = 0.0 if prev_pb is None else float(np.max(np.abs(pb - prev_pb)))
         if prev_pb is not None and obj - prev_obj < BCD_OBJ_TOL * max(1.0, abs(obj)) \
                 and step < 1e-9:
@@ -487,37 +461,11 @@ def _bcd(sc, mode):
             break
         prev_obj = obj
         prev_pb = pb.copy()
-    return _build_report(sc, eff, ssc, pb, mode, iterations, converged, trace)
-
-
-def bcd_solve(sc: Scenario, mode: CooperationMode = CooperationMode.BIDIRECTIONAL) -> SolveReport:
-    """Alternating per-node directional water-filling; infinite battery.  A
-    two-hop scenario also gets the combined-flow (two-fluid) refinement."""
-    return _bcd(sc, mode)
-
-
-def thc_solve(sc: Scenario, mode: CooperationMode = CooperationMode.BIDIRECTIONAL) -> SolveReport:
-    """Two-hop solver: BCD plus the combined-flow (two-fluid) refinement."""
-    if sc.model_kind is not ModelKind.THC:
-        raise InputError("thc_solve requires a THC scenario")
-    return _bcd(sc, mode)
+    return _build_report(sc, eff, ssc, pb, mode, iterations, converged)
 
 
 # ---------------------------------------------------------------------------
-# MAC reduction
-
-
-def mac_reduce(sc: Scenario) -> MacReduction:
-    """Per-user boost factors a_k* = max(1, a_k c_j / c_k) and the
-    equivalent aggregate arrivals a_1* E_1 + a_2* E_2."""
-    if sc.model_kind is not ModelKind.MAC:
-        raise InputError("mac_reduce requires a MAC scenario")
-    n1, n2 = sc.effective_noise_mw
-    c1, c2 = 1.0 / n1, 1.0 / n2
-    a1, a2 = sc.transfer_efficiency
-    astar = (max(1.0, a1 * c2 / c1), max(1.0, a2 * c1 / c2))
-    aggregate = astar[0] * sc.harvests[0] + astar[1] * sc.harvests[1]
-    return MacReduction(alpha_star=astar, aggregate=aggregate)
+# MAC
 
 
 def staircase(aggregate, capacity) -> np.ndarray:
@@ -533,13 +481,10 @@ def staircase(aggregate, capacity) -> np.ndarray:
 
 
 def mac_solve(sc: Scenario, mode: CooperationMode = CooperationMode.BIDIRECTIONAL) -> SolveReport:
-    """MAC solver via the single-pool reduction and staircase sum power;
-    infinite batteries only (finite capacities go through dwf_finite).
-
-    Pooling is done in SNR-weighted units (each user's energy scaled by its
-    best per-mJ rate coefficient c_k*a_k*) so the reduction matches the
-    direct solver exactly even for unequal channels.
-    """
+    """MAC solver: the staircase of the pooled arrivals g1*E1 + g2*E2, in
+    SNR units (transfer.mac_gains), split back to the users with the
+    senders' energy spent first; infinite batteries only (finite
+    capacities go through dwf_finite)."""
     if sc.model_kind is not ModelKind.MAC:
         raise InputError("mac_solve requires a MAC scenario")
     if not all(math.isinf(c) for c in sc.battery_capacity):
@@ -547,26 +492,25 @@ def mac_solve(sc: Scenario, mode: CooperationMode = CooperationMode.BIDIRECTIONA
     eff = effective_scenario(sc, mode)
     ssc = eff.unit_slot()
     n = ssc.n_slots
-    astar = mac_reduce(ssc).alpha_star
-    wgt = astar / ssc.effective_noise_mw
-    s = staircase(wgt @ ssc.harvests, math.inf)
-    order = sorted(range(2), key=lambda k: (astar[k] == 1.0, k))  # senders first
+    g = transfer.mac_gains(ssc)
+    s = staircase(g[0] * ssc.harvests[0] + g[1] * ssc.harvests[1], math.inf)
+    order = (1, 0) if transfer.mac_sends(ssc)[1] else (0, 1)  # senders first
     pb = np.zeros((2, n))
     spent = [0.0, 0.0]
     cum = [0.0, 0.0]
     for i in range(n):
         rem = s[i]
         for k in range(2):
-            cum[k] += wgt[k] * ssc.harvests[k][i]
+            cum[k] += g[k] * ssc.harvests[k][i]
         for k in order:
             take = min(cum[k] - spent[k], rem)
             take = max(take, 0.0)
-            pb[k, i] = take / wgt[k]
+            pb[k, i] = take / g[k]
             spent[k] += take
             rem -= take
         if rem > 1e-7 * max(1.0, s[i]):
             raise InputError("staircase split exceeded pooled availability")
-    return _build_report(sc, eff, ssc, pb, mode, 0, True, [])
+    return _build_report(sc, eff, ssc, pb, mode, 0, True)
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +544,7 @@ def dwf_finite(sc: Scenario, mode: CooperationMode = CooperationMode.BIDIRECTION
         if float(np.max(np.abs(pb - prev_pb))) < 1e-10:
             converged = True
             break
-    return _build_report(sc, eff, ssc, pb, mode, passes, converged, [])
+    return _build_report(sc, eff, ssc, pb, mode, passes, converged)
 
 
 def _joint_polish_finite(pb, ssc):

@@ -207,6 +207,42 @@ class TestCli:
         assert err.startswith("error:") and "Traceback" not in err
         assert next(iter(field)) in err
 
+    @pytest.mark.parametrize("field", [
+        dict(harvests_mJ=[["2", "5", "0", "0"], [True, False, 0.0, 7.0]]),
+        dict(transfer_efficiency=[True, "0.5"]), dict(channel_gain_dB=[-100.0, None]),
+        dict(noise_power_W=[1e-13, "1e-13"]), dict(slot_seconds="1"), dict(slot_seconds=True),
+    ])
+    def test_non_number_scenario_field_is_input_error(self, tmp_path, capsys, field):
+        cfg = write_json(tmp_path, "sc.json", dict(VALID_SCENARIO, **field))
+        assert cli.main(["solve", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert next(iter(field)) in err
+
+    @pytest.mark.parametrize("field", [
+        dict(values=["0.5"]), dict(values=[True]), dict(values="05"),
+        dict(lo="0", hi=1.0, step=0.5), dict(lo=0.0, hi=True, step=0.5),
+        dict(lo=0.0, hi=1.0, step="0.5"),
+    ])
+    def test_sweep_non_number_range_is_input_error(self, tmp_path, capsys, field):
+        sweep = dict({"base_scenario": VALID_SCENARIO, "swept_parameter": "alpha1",
+                      "modes": ["bidirectional"]}, **field)
+        cfg = write_json(tmp_path, "sweep.json", sweep)
+        assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert "must be numeric" in err
+
+    def test_sweep_range_too_long_is_input_error(self, tmp_path, capsys):
+        sweep = {"base_scenario": VALID_SCENARIO, "swept_parameter": "alpha1",
+                 "lo": 0.0, "hi": 1.0, "step": 1e-13}
+        cfg = write_json(tmp_path, "sweep.json", sweep)
+        assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert f"more than {harness.MAX_SWEEP_POINTS} points" in err
+        assert not (tmp_path / "o.csv").exists()
+
     def test_python_m_ehcoop(self, tmp_path):
         d = dict(VALID_SCENARIO, harvests_mJ=[[0.4, 1.0], [0.2, 0.6]])
         cfg = write_json(tmp_path, "sc.json", d)

@@ -168,9 +168,10 @@ class TestDpSolve:
             DpConfig(**kwargs)
 
     def test_unreachable_capacity_does_not_count(self):
-        # no battery can hold more than the total harvest of 1 mJ
+        # no battery can hold more than the total harvest of 1 mJ; sized by
+        # the capacities, the grid would hold 1.6e13 states, past MAX_STATES
         sc = make_scenario(harvests=((0.5, 0.25), (0.25, 0.0)), capacity=(1e6, 1e6))
-        value, _ = dp_solve(sc, DpConfig(energy_quantum_mJ=0.25, max_states=100))
+        value, _ = dp_solve(sc, DpConfig(energy_quantum_mJ=0.25))
         tight = make_scenario(harvests=((0.5, 0.25), (0.25, 0.0)), capacity=(1.0, 1.0))
         assert value == dp_solve(tight, DpConfig(energy_quantum_mJ=0.25))[0]
 
