@@ -34,8 +34,9 @@ def constant_power(sc: Scenario, kind: BaselineKind) -> TransferPolicy:
             s[k] = avail - consumed[k, i] * dt
     delta = np.zeros((2, n))
     if kind is BaselineKind.CONSTANT_POWER_WITH_COOP:
+        ssc = sc.unit_slot()
         for i in range(n):
             delta[:, i] = transfer.slot_transfer(sc.model_kind, consumed[0, i] * dt,
-                                                 consumed[1, i] * dt, sc).delta
+                                                 consumed[1, i] * dt, ssc).delta
     return recover_transmit_powers(
         DecomposedPolicy(consumed, immediate=delta, stored=np.zeros((2, n))), sc)

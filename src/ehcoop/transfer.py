@@ -68,9 +68,6 @@ def twc_transfer(pb1, pb2, sc: Scenario) -> SlotTransfer:
         if aa[k] > 0:
             raw[k] = 0.5 * ((nn[k] + pb[k]) - (nn[j] + pb[j]) / aa[k])
     cand = [min(pb[k], max(0.0, raw[k])) for k in range(2)]
-    if raw[0] > BOUNDARY_TOL and raw[1] > BOUNDARY_TOL:
-        # impossible for a1*a2 <= 1; guard against pathological inputs
-        raise InputError("both transfer candidates positive; requires a1*a2 > 1")
     if raw[0] >= -BOUNDARY_TOL and raw[0] > raw[1]:
         delta = (cand[0], 0.0)
         regime = Regime.FULL_1 if raw[0] > pb1 + BOUNDARY_TOL else Regime.INTERIOR_1

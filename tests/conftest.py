@@ -27,6 +27,19 @@ def make_scenario(model=ModelKind.TWC, harvests=((2.0, 5.0, 0.0, 0.0), (0.0, 4.0
     )
 
 
+def finite_dwf_entry_126():
+    """Default-seed finite-dwf benchmark entry 126, a THC scenario run in uni21
+    mode, whose two-hop polish needs a backward move."""
+    return make_scenario(
+        model=ModelKind.THC, alpha=(0.4876526875618761, 0.6848680270589409),
+        gain_db=(-101.22462435409793, -99.61263572990032),
+        capacity=(11.365406591469645, 7.199332144399701),
+        harvests=((3.5964990895493076, 4.166707892400458, 3.5822775377775464,
+                   8.024960960847821),
+                  (3.329915877437738, 2.2742165623363944, 3.7991958384349656,
+                   1.1962831880054636)))
+
+
 def level_rate(model_kind, pb1, pb2, sc):
     """The per-slot objective whose inverse marginal is the water level.
 

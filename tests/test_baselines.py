@@ -45,3 +45,16 @@ class TestConstantPower:
                 for kind, mode in pairs:
                     base = objective(constant_power(sc, kind), sc)
                     assert solve(sc, mode).objective_nats >= base - 1e-9
+
+    @pytest.mark.parametrize("slot_seconds, nats", [
+        (2.0, 3.9630725134251756),
+        (0.5, 2.419925923439291),
+        (1.0, 3.187083409125664),
+    ])
+    def test_cooperative_transfers_use_slot_noise(self, slot_seconds, nats):
+        # the transfers are per-slot energies, optimal against the noise
+        # scaled by the slot length (at 2 s the unscaled noise gave 3.9257)
+        sc = make_scenario(alpha=(0.9, 0.9), gain_db=(-100.0, -103.0),
+                           slot_seconds=slot_seconds)
+        pol = constant_power(sc, BaselineKind.CONSTANT_POWER_WITH_COOP)
+        assert objective(pol, sc) == pytest.approx(nats, rel=1e-12)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_scenario, random_scenario
+from conftest import finite_dwf_entry_126, make_scenario, random_scenario
 from ehcoop.model import (
     INFINITE,
     InputError,
@@ -291,11 +291,11 @@ class TestThcSolve:
         reference = objective(thc_taut_string_policy(sc), sc)
         assert solve(sc, CooperationMode.NO_COOPERATION).objective_nats >= reference - 1e-9
 
-    def test_polish_probe_rebuilds_two_levels(self, monkeypatch):
+    @staticmethod
+    def assert_probes_rebuild_two_levels(monkeypatch, sc, mode):
         # each line-search probe of a move between slots i and i+1 rebuilds
-        # only those two slot levels
-        sc = inf_bcd_entry_5()
-        ssc = effective_scenario(sc, CooperationMode.UNI_1_TO_2)
+        # only those two slot levels, after the N built once per (node, slot)
+        ssc = effective_scenario(sc, mode)
         pb = np.array(ssc.harvests)
         for ki in (0, 1):
             _dwf_full(ki, pb, ssc)
@@ -312,9 +312,18 @@ class TestThcSolve:
         monkeypatch.setattr(waterfill, "_dwf_full", counted("probes", waterfill._dwf_full))
         assert _joint_polish(pb, ssc)
         n = sc.n_slots
-        moves = 2 * (n - 1)
-        assert calls["probes"] > moves
-        assert calls["level_pieces"] <= 2 * calls["probes"] + n * moves
+        pairs = 2 * (n - 1)
+        assert calls["probes"] > pairs
+        assert calls["level_pieces"] <= 2 * calls["probes"] + n * pairs
+
+    def test_polish_probe_rebuilds_two_levels(self, monkeypatch):
+        self.assert_probes_rebuild_two_levels(monkeypatch, inf_bcd_entry_5(),
+                                              CooperationMode.UNI_1_TO_2)
+
+    def test_finite_polish_probe_rebuilds_two_levels(self, monkeypatch):
+        # entry 126's polish takes a backward move
+        self.assert_probes_rebuild_two_levels(monkeypatch, finite_dwf_entry_126(),
+                                              CooperationMode.UNI_2_TO_1)
 
     @pytest.mark.parametrize("finite", [False, True])
     def test_prebuilt_levels_match_full_rebuild(self, finite):
@@ -415,6 +424,14 @@ class TestDwfFinite:
         assert check_feasible(rep.transmit, sc).feasible
         assert rep.level_residual <= 1e-7
         assert rep.objective_nats > stalled
+
+    def test_thc_backward_move(self):
+        # a forward-only polish stalls at 2.7192087064177644 nats and still
+        # reports convergence with residual 0
+        sc = finite_dwf_entry_126()
+        rep = solve(sc, CooperationMode.UNI_2_TO_1)
+        assert rep.converged
+        assert rep.objective_nats >= 2.7195894555621885 - 1e-9
 
     def test_requires_finite_capacity_path(self):
         sc = make_scenario(capacity=(3.0, 3.0))
