@@ -18,6 +18,8 @@ INFINITE = math.inf
 
 FEAS_TOL_MJ = 1e-9
 EQ_RTOL = 1e-12
+NOISE_RANGE_MW = (1e-100, 1e100)
+HARVEST_TOTAL_MAX_MJ = 1e100
 
 
 class InputError(ValueError):
@@ -62,7 +64,10 @@ class Scenario:
 
     harvests is indexed [node, slot] in mJ.  battery_capacity entries may be
     the INFINITE sentinel.  channel_gain_db holds the link power gains in dB;
-    noise_power_w the receiver noise powers in watts.
+    noise_power_w the receiver noise powers in watts.  The effective noise of
+    each node must lie in NOISE_RANGE_MW (1e-100 to 1e100 mW) and the total
+    harvest of both nodes must be at most HARVEST_TOTAL_MAX_MJ (1e100 mJ):
+    beyond them the solvers' products and ratios overflow or underflow.
     """
 
     model_kind: ModelKind
@@ -93,14 +98,20 @@ class Scenario:
         dt = float(_floats(self.slot_seconds, "slot_seconds"))
         if not dt > 0:
             raise InputError("slot_seconds must be positive")
-        # an absurd gain overflows to inf or 0 here, and is rejected just below
-        with np.errstate(over="ignore", divide="ignore"):
+        # an absurd gain or harvest overflows to inf or 0 here, and is
+        # rejected just below
+        with np.errstate(over="ignore", divide="ignore", under="ignore"):
             gain_lin = 10.0 ** (gain_db / 10.0)
             # n_k = sigma_j^2 / h_k, in mW; the noise floor seen by node k's signal.
             eff = np.array([noise[1] / gain_lin[0], noise[0] / gain_lin[1]]) * 1e3
-        if not (np.isfinite(eff).all() and (eff > 0).all()):
-            raise InputError("channel gains and noise powers must give a positive, "
-                             "finite effective noise")
+            total = harv.sum()
+        lo, hi = NOISE_RANGE_MW
+        if not ((eff >= lo) & (eff <= hi)).all():
+            raise InputError(f"channel gains and noise powers must give a finite "
+                             f"effective noise in [{lo:g}, {hi:g}] mW, got {eff.tolist()}")
+        if not total <= HARVEST_TOTAL_MAX_MJ:
+            raise InputError(f"total harvest must be at most {HARVEST_TOTAL_MAX_MJ:g} mJ, "
+                             f"got {total:g}")
         for name, val in [
             ("harvests", harv), ("battery_capacity", cap),
             ("transfer_efficiency", alpha), ("channel_gain_db", gain_db),

@@ -8,8 +8,10 @@ exact: piecewise affine in a node's own consumed power (level_pieces).
 All functions take consumed powers in mW (equivalently mJ for unit slots)
 and read effective noises and efficiencies from the Scenario, as Python
 floats (through .tolist()): numpy scalars give the same values at about
-twice the cost per operation.  rate_grid is the array form of the slot
-rate, for tables over many consumed powers at once (the DP oracle).
+twice the cost per operation.  slot_rate is the slot rate alone, with the
+constants read once, for sums over many slots (the solvers' objective);
+slot_transfer takes its rate from it.  rate_grid is the array form of the
+slot rate, for tables over many consumed powers at once (the DP oracle).
 """
 
 from __future__ import annotations
@@ -53,72 +55,48 @@ def applied_rate(model_kind, pb1, pb2, delta, sc) -> float:
     return rate(model_kind, max(p1, 0.0), max(p2, 0.0), sc)
 
 
-def twc_transfer(pb1, pb2, sc: Scenario) -> SlotTransfer:
-    """Two-way channel: the positive candidate of
+def _twc_split(pb1, pb2, n1, n2, a1, a2):
+    """TWC transfer (d1, d2) and regime: the positive candidate of
     d_k = min(pb_k, [ (n_k+pb_k) - (n_j+pb_j)/a_k ]+ / 2) wins."""
+    raw1 = 0.5 * ((n1 + pb1) - (n2 + pb2) / a1) if a1 > 0 else -math.inf
+    raw2 = 0.5 * ((n2 + pb2) - (n1 + pb1) / a2) if a2 > 0 else -math.inf
+    if raw1 >= -BOUNDARY_TOL and raw1 > raw2:
+        return (min(pb1, max(0.0, raw1)), 0.0,
+                Regime.FULL_1 if raw1 > pb1 + BOUNDARY_TOL else Regime.INTERIOR_1)
+    if raw2 >= -BOUNDARY_TOL:
+        return (0.0, min(pb2, max(0.0, raw2)),
+                Regime.FULL_2 if raw2 > pb2 + BOUNDARY_TOL else Regime.INTERIOR_2)
+    return 0.0, 0.0, Regime.NO_TRANSFER
+
+
+def _thc_split(pb1, pb2, n1, n2, a1, a2):
+    """THC transfer (d1, d2) and regime: it equalizes the two received
+    powers.  With w_k = sigma_k^2 * h_k, w1:w2 == n2:n1, so the transfer
+    starts where w1*pb1 - w2*pb2 leaves zero."""
+    num = n2 * pb1 - n1 * pb2
+    if num > BOUNDARY_TOL and a1 > 0:
+        return num / (a1 * n1 + n2), 0.0, Regime.INTERIOR_1
+    if num < -BOUNDARY_TOL and a2 > 0:
+        return 0.0, -num / (a2 * n2 + n1), Regime.INTERIOR_2
+    return 0.0, 0.0, Regime.NO_TRANSFER
+
+
+def _constants(sc):
+    return (*sc.effective_noise_mw.tolist(), *sc.transfer_efficiency.tolist())
+
+
+def twc_transfer(pb1, pb2, sc: Scenario) -> SlotTransfer:
+    """Two-way channel: the five-regime transfer of _twc_split."""
     _check_powers(pb1, pb2)
-    n1, n2 = sc.effective_noise_mw.tolist()
-    a1, a2 = sc.transfer_efficiency.tolist()
-    pb = (pb1, pb2)
-    nn = (n1, n2)
-    aa = (a1, a2)
-    raw = [-math.inf, -math.inf]
-    for k in range(2):
-        j = 1 - k
-        if aa[k] > 0:
-            raw[k] = 0.5 * ((nn[k] + pb[k]) - (nn[j] + pb[j]) / aa[k])
-    cand = [min(pb[k], max(0.0, raw[k])) for k in range(2)]
-    if raw[0] >= -BOUNDARY_TOL and raw[0] > raw[1]:
-        delta = (cand[0], 0.0)
-        regime = Regime.FULL_1 if raw[0] > pb1 + BOUNDARY_TOL else Regime.INTERIOR_1
-    elif raw[1] >= -BOUNDARY_TOL:
-        delta = (0.0, cand[1])
-        regime = Regime.FULL_2 if raw[1] > pb2 + BOUNDARY_TOL else Regime.INTERIOR_2
-    else:
-        delta = (0.0, 0.0)
-        regime = Regime.NO_TRANSFER
-    return SlotTransfer(delta, regime, twc_case_rate(pb1, pb2, regime, sc))
-
-
-def twc_case_rate(pb1, pb2, regime: Regime, sc: Scenario) -> float:
-    """The five-case closed form for the optimal-transfer slot rate."""
-    n1, n2 = sc.effective_noise_mw.tolist()
-    a1, a2 = sc.transfer_efficiency.tolist()
-    if regime is Regime.NO_TRANSFER:
-        return 0.5 * math.log1p(pb1 / n1) + 0.5 * math.log1p(pb2 / n2)
-    if regime is Regime.INTERIOR_1:
-        s = (n1 + pb1) + (n2 + pb2) / a1
-        return math.log(0.5 * s * math.sqrt(a1 / (n1 * n2)))
-    if regime is Regime.INTERIOR_2:
-        s = (n2 + pb2) + (n1 + pb1) / a2
-        return math.log(0.5 * s * math.sqrt(a2 / (n1 * n2)))
-    if regime is Regime.FULL_1:
-        return 0.5 * math.log1p((pb2 + a1 * pb1) / n2)
-    return 0.5 * math.log1p((pb1 + a2 * pb2) / n1)
-
-
-def _thc_weights(sc):
-    # w_k = sigma_k^2 * h_k, up to a common factor: w1:w2 == n2:n1
-    n1, n2 = sc.effective_noise_mw.tolist()
-    return n2, n1
+    d1, d2, regime = _twc_split(pb1, pb2, *_constants(sc))
+    return SlotTransfer((d1, d2), regime, slot_rate(ModelKind.TWC, sc)(pb1, pb2))
 
 
 def thc_transfer(pb1, pb2, sc: Scenario) -> SlotTransfer:
     """Two-hop channel: transfer equalizes the two received powers."""
     _check_powers(pb1, pb2)
-    a1, a2 = sc.transfer_efficiency.tolist()
-    w1, w2 = _thc_weights(sc)
-    d1 = d2 = 0.0
-    regime = Regime.NO_TRANSFER
-    num = w1 * pb1 - w2 * pb2
-    if num > BOUNDARY_TOL and a1 > 0:
-        d1 = num / (a1 * w2 + w1)
-        regime = Regime.INTERIOR_1
-    elif num < -BOUNDARY_TOL and a2 > 0:
-        d2 = -num / (a2 * w1 + w2)
-        regime = Regime.INTERIOR_2
-    return SlotTransfer((d1, d2), regime,
-                        applied_rate(ModelKind.THC, pb1, pb2, (d1, d2), sc))
+    d1, d2, regime = _thc_split(pb1, pb2, *_constants(sc))
+    return SlotTransfer((d1, d2), regime, slot_rate(ModelKind.THC, sc)(pb1, pb2))
 
 
 def mac_sends(sc: Scenario) -> tuple:
@@ -127,8 +105,7 @@ def mac_sends(sc: Scenario) -> tuple:
     With c_k = 1/n_k the per-user SNR coefficient of the sum-capacity, user
     k sends iff a_k*c_j > c_k strictly; ties resolve to no transfer.
     """
-    n1, n2 = sc.effective_noise_mw.tolist()
-    a1, a2 = sc.transfer_efficiency.tolist()
+    n1, n2, a1, a2 = _constants(sc)
     return a1 * (1.0 / n2) > 1.0 / n1, a2 * (1.0 / n1) > 1.0 / n2
 
 
@@ -140,8 +117,7 @@ def mac_gains(sc: Scenario) -> tuple:
     The slot rate is 0.5*log1p(g1*pb1 + g2*pb2), so the MAC is a single
     node with arrivals g1*E1 + g2*E2.
     """
-    n1, n2 = sc.effective_noise_mw.tolist()
-    a1, a2 = sc.transfer_efficiency.tolist()
+    n1, n2, a1, a2 = _constants(sc)
     c1, c2 = 1.0 / n1, 1.0 / n2
     return max(a1 * c2, c1), max(a2 * c1, c2)
 
@@ -152,14 +128,8 @@ def mac_transfer(pb1, pb2, sc: Scenario) -> SlotTransfer:
     send1, send2 = mac_sends(sc)
     d1 = pb1 if send1 else 0.0
     d2 = pb2 if send2 else 0.0
-    if send1 and d1 > 0:
-        regime = Regime.FULL_1
-    elif send2 and d2 > 0:
-        regime = Regime.FULL_2
-    else:
-        regime = Regime.NO_TRANSFER
-    return SlotTransfer((d1, d2), regime,
-                        applied_rate(ModelKind.MAC, pb1, pb2, (d1, d2), sc))
+    regime = Regime.FULL_1 if d1 > 0 else Regime.FULL_2 if d2 > 0 else Regime.NO_TRANSFER
+    return SlotTransfer((d1, d2), regime, slot_rate(ModelKind.MAC, sc)(pb1, pb2))
 
 
 def slot_transfer(model_kind, pb1, pb2, sc: Scenario) -> SlotTransfer:
@@ -168,6 +138,45 @@ def slot_transfer(model_kind, pb1, pb2, sc: Scenario) -> SlotTransfer:
     if model_kind is ModelKind.THC:
         return thc_transfer(pb1, pb2, sc)
     return mac_transfer(pb1, pb2, sc)
+
+
+def slot_rate(model_kind, sc: Scenario):
+    """The slot rate under the optimal transfer as a function rate(pb1, pb2)
+    in nats, with the channel constants read once: slot_transfer's
+    rate_nats, without its SlotTransfer.  TWC takes the closed form of its
+    regime; THC and MAC take the rate of their transfer applied."""
+    n1, n2, a1, a2 = _constants(sc)
+    if model_kind is ModelKind.TWC:
+        root1, root2 = math.sqrt(a1 / (n1 * n2)), math.sqrt(a2 / (n1 * n2))
+
+        def rate(pb1, pb2):
+            _check_powers(pb1, pb2)
+            regime = _twc_split(pb1, pb2, n1, n2, a1, a2)[2]
+            if regime is Regime.NO_TRANSFER:
+                return 0.5 * math.log1p(pb1 / n1) + 0.5 * math.log1p(pb2 / n2)
+            if regime is Regime.INTERIOR_1:
+                return math.log(0.5 * ((n1 + pb1) + (n2 + pb2) / a1) * root1)
+            if regime is Regime.INTERIOR_2:
+                return math.log(0.5 * ((n2 + pb2) + (n1 + pb1) / a2) * root2)
+            if regime is Regime.FULL_1:
+                return 0.5 * math.log1p((pb2 + a1 * pb1) / n2)
+            return 0.5 * math.log1p((pb1 + a2 * pb2) / n1)
+        return rate
+    if model_kind is ModelKind.THC:
+        def rate(pb1, pb2):
+            _check_powers(pb1, pb2)
+            d1, d2, _ = _thc_split(pb1, pb2, n1, n2, a1, a2)
+            return min(0.5 * math.log1p(max(pb1 - d1 + a2 * d2, 0.0) / n1),
+                       0.5 * math.log1p(max(pb2 - d2 + a1 * d1, 0.0) / n2))
+        return rate
+    send1, send2 = mac_sends(sc)
+
+    def rate(pb1, pb2):
+        _check_powers(pb1, pb2)
+        d1, d2 = (pb1 if send1 else 0.0), (pb2 if send2 else 0.0)
+        return 0.5 * math.log1p(max(pb1 - d1 + a2 * d2, 0.0) / n1
+                                + max(pb2 - d2 + a1 * d1, 0.0) / n2)
+    return rate
 
 
 def rate_grid(model_kind, pb1, pb2, sc: Scenario) -> np.ndarray:

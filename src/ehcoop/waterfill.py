@@ -87,20 +87,23 @@ class _SlotLevel:
     power, from its affine pieces (start, slope, intercept): strictly
     increasing with jumps, and flat past the start of an intercept-inf piece.
     Each piece is kept as a row (start, slope, intercept, end, level at
-    start).  `cap` is the most power the slot can use; `knots` are the levels
-    where inv changes slope (each finite piece's value at its start and its
-    left limit at its end)."""
+    start).  `cap` is the most power the slot can use; `knots` are the sorted
+    distinct levels where inv changes slope (each finite piece's value at its
+    start and its left limit at its end), and `fills` is inv at each knot."""
+
+    __slots__ = ("rows", "cap", "knots", "fills")
 
     def __init__(self, pieces):
-        ends = [piece[0] for piece in pieces[1:]] + [math.inf]
-        self.rows = [(start, slope, icpt, end, slope * start + icpt)
-                     for (start, slope, icpt), end in zip(pieces, ends)]
-        self.cap = pieces[-1][0] if math.isinf(pieces[-1][2]) else math.inf
-        knots = []
-        for start, slope, icpt, end, low in self.rows:
+        self.rows, knots = [], set()
+        for n, (start, slope, icpt) in enumerate(pieces, 1):
+            end = pieces[n][0] if n < len(pieces) else math.inf
+            low = slope * start + icpt
+            self.rows.append((start, slope, icpt, end, low))
             if math.isfinite(icpt):
-                knots += [low, slope * end + icpt]
-        self.knots = [x for x in knots if math.isfinite(x)]
+                knots.update((low, slope * end + icpt))
+        self.cap = start if math.isinf(icpt) else math.inf  # from the last piece
+        self.knots = sorted([x for x in knots if math.isfinite(x)])
+        self.fills = [self.inv(x) for x in self.knots]
 
     def inv(self, target):
         """Largest p with level(p) <= target: solve the piece that contains
@@ -133,41 +136,66 @@ def _relevel(levels, model_kind, k, other_powers, slots, sc):
 # battery, a taut string for a finite one and for the MAC staircase
 
 
-def _solve_pool(slots, levels, budget):
-    """Allocate `budget` across pool `slots` at the lowest common level that
-    absorbs it.
+class _Pool:
+    """Slots held at one common water level, solved for any number of
+    budgets.  Its sorted knots are merged once and its total inverse at each
+    knot computed at most once, in slot order; a one-slot pool reads its
+    level's knots and fills."""
 
-    The pool's total inverse is continuous, non-decreasing and piecewise
-    affine in the level, so bracketing the budget between two sorted knots
-    leaves one linear solve.  Returns (powers, level, surplus); surplus > 0
-    when the slots' flat directions cap the pool below the budget.
-    """
-    pool = [levels[i] for i in slots]
-    if budget <= 0:
-        return [0.0] * len(pool), 0.0, 0.0
-    caps = [lev.cap for lev in pool]
-    cap_total = sum(caps)
-    # slots all flat from zero have no knots and take nothing
-    if cap_total < budget - ENERGY_TOL or cap_total == 0:
-        return caps, math.inf, budget - cap_total
+    __slots__ = ("levels", "caps", "cap_total", "knots", "totals")
 
-    def fill(level):
-        return sum(lev.inv(level) for lev in pool)
+    def __init__(self, levels):
+        self.levels = levels
+        self.caps = [lev.cap for lev in levels]
+        self.cap_total = sum(self.caps)
+        self.knots = None
 
-    knots = sorted({x for lev in pool for x in lev.knots})
-    i = bisect.bisect_left(knots, budget, key=fill)
-    if i < len(knots):
-        lo, hi = knots[i - 1], knots[i]
-        f_lo, f_hi = fill(lo), fill(hi)
-        level = lo + (budget - f_lo) * (hi - lo) / (f_hi - f_lo)
-    else:
-        # past the last knot only unbounded last pieces still rise; with none
-        # the budget is within ENERGY_TOL of the caps
-        level = knots[-1]
-        rise = sum(1.0 / lev.rows[-1][1] for lev in pool if math.isinf(lev.cap))
-        if rise > 0:
-            level += (budget - fill(level)) / rise
-    return [lev.inv(level) for lev in pool], level, 0.0
+    def _total(self, j):
+        total = self.totals[j]
+        if total is None:
+            x = self.knots[j]
+            total = self.totals[j] = sum([lev.inv(x) for lev in self.levels])
+        return total
+
+    def solve(self, budget):
+        """Allocate `budget` across the pool at the lowest common level that
+        absorbs it.
+
+        The pool's total inverse is continuous, non-decreasing and piecewise
+        affine in the level, so bracketing the budget between two sorted
+        knots leaves one linear solve.  Returns (powers, level, surplus);
+        surplus > 0 when the slots' flat directions cap the pool below the
+        budget.
+        """
+        levels = self.levels
+        if budget <= 0:
+            return [0.0] * len(levels), 0.0, 0.0
+        cap_total = self.cap_total
+        # slots all flat from zero have no knots and take nothing
+        if cap_total < budget - ENERGY_TOL or cap_total == 0:
+            return self.caps, math.inf, budget - cap_total
+        if len(levels) == 1:
+            knots, fills = levels[0].knots, levels[0].fills
+            i, total = bisect.bisect_left(fills, budget), fills.__getitem__
+        else:
+            if self.knots is None:
+                self.knots = sorted({x for lev in levels for x in lev.knots})
+                self.totals = [None] * len(self.knots)
+            knots, total = self.knots, self._total
+            # the probes of bisecting the knots by their totals
+            i = bisect.bisect_left(range(len(knots)), budget, key=total)
+        if i < len(knots):
+            lo, hi = knots[i - 1], knots[i]
+            f_lo, f_hi = total(i - 1), total(i)
+            level = lo + (budget - f_lo) * (hi - lo) / (f_hi - f_lo)
+        else:
+            # past the last knot only unbounded last pieces still rise; with
+            # none the budget is within ENERGY_TOL of the caps
+            level = knots[-1]
+            rise = sum(1.0 / lev.rows[-1][1] for lev in levels if math.isinf(lev.cap))
+            if rise > 0:
+                level += (budget - total(len(knots) - 1)) / rise
+        return [lev.inv(level) for lev in levels], level, 0.0
 
 
 def _dwf_single(budgets, levels):
@@ -176,39 +204,33 @@ def _dwf_single(budgets, levels):
     budgets[i] is the energy arriving at slot i; levels[i] the slot's
     monotone level function.  Returns the consumed power per slot.
     """
+    budgets = np.asarray(budgets, dtype=float).tolist()
     n = len(budgets)
-    pools = []  # dicts: start, end, budget, powers, level
+    pools = []  # (start, end, budget, powers, level)
     carry = 0.0
     for i in range(n):
-        b = float(budgets[i]) + carry
+        b = budgets[i] + carry
         carry = 0.0
-        powers, level, surplus = _solve_pool([i], levels, b)
-        pools.append({"start": i, "end": i, "budget": b - surplus,
-                      "powers": powers, "level": level})
+        powers, level, surplus = _Pool(levels[i:i + 1]).solve(b)
+        pools.append((i, i, b - surplus, powers, level))
         if surplus > 0 and i < n - 1:
             carry = surplus
-        while len(pools) >= 2 and \
-                pools[-1]["level"] < pools[-2]["level"] * (1 - 1e-12) - 1e-12:
-            top = pools.pop()
-            prev = pools.pop()
-            slots = list(range(prev["start"], top["end"] + 1))
-            b = prev["budget"] + top["budget"]
-            powers, level, surplus = _solve_pool(slots, levels, b)
-            pools.append({"start": prev["start"], "end": top["end"],
-                          "budget": b - surplus, "powers": powers, "level": level})
-            if surplus > 0 and top["end"] < n - 1:
+        while len(pools) >= 2 and pools[-1][4] < pools[-2][4] * (1 - 1e-12) - 1e-12:
+            (_, end, top_budget, _, _), (start, _, prev_budget, _, _) = pools.pop(), pools.pop()
+            b = prev_budget + top_budget
+            powers, level, surplus = _Pool(levels[start:end + 1]).solve(b)
+            pools.append((start, end, b - surplus, powers, level))
+            if surplus > 0 and end < n - 1:
                 carry += surplus
-    out = np.zeros(n)
-    for pool in pools:
-        out[pool["start"]:pool["end"] + 1] = pool["powers"]
-    return out
+    return np.array([p for pool in pools for p in pool[3]], dtype=float)
 
 
-def _segment(slots, levels, budget):
-    """Rank and powers of one taut-string segment holding `budget`: its pool
-    level, or (inf, surplus per slot) when the slots' flat directions cap it
-    below the budget and the surplus is spread evenly over them."""
-    powers, level, surplus = _solve_pool(slots, levels, budget)
+def _segment(pool, budget):
+    """Rank and powers of one taut-string segment, a _Pool holding `budget`:
+    its pool level, or (inf, surplus per slot) when the slots' flat
+    directions cap it below the budget and the surplus is spread evenly over
+    them."""
+    powers, level, surplus = pool.solve(budget)
     if surplus > 0:
         spread = surplus / len(powers)
         return (math.inf, spread), [p + spread for p in powers]
@@ -226,7 +248,8 @@ def _dwf_bounded(arrivals, capacity, levels):
     bends on the lowest segment to U once a segment to L must lie above it
     (the battery empties there, and the level rises), or on the highest
     segment to L once a segment to U must lie below it (the battery is full,
-    and the level falls).  Returns the consumed power per slot.
+    and the level falls).  The segments to U and to L over the same slots
+    share one pool.  Returns the consumed power per slot.
     """
     upper = np.cumsum(arrivals)
     lower = upper - capacity
@@ -238,9 +261,9 @@ def _dwf_bounded(arrivals, capacity, levels):
     while i0 < n:
         hi = lo = None  # (rank, powers, end) of the tightest segment to U, to L
         for j in range(i0 + 1, n + 1):
-            slots = range(i0, j)
-            up = (*_segment(slots, levels, upper[j - 1] - b0), j)
-            down = up if j == n else (*_segment(slots, levels, lower[j - 1] - b0), j)
+            pool = _Pool(levels[i0:j])
+            up = (*_segment(pool, upper[j - 1] - b0), j)
+            down = up if j == n else (*_segment(pool, lower[j - 1] - b0), j)
             if hi is not None and down[0] > hi[0]:
                 pivot, b0 = hi, upper[hi[2] - 1]
                 break
@@ -329,9 +352,10 @@ def _levels_at(model_kind, pb, ssc):
 
 
 def _capacity_objective(model_kind, pb, ssc):
+    rate = transfer.slot_rate(model_kind, ssc)
     total = 0.0
     for p1, p2 in zip(*pb.tolist()):
-        total += transfer.slot_transfer(model_kind, p1, p2, ssc).rate_nats
+        total += rate(p1, p2)
     return total
 
 
@@ -364,7 +388,7 @@ def _dwf_full(ki, pb, ssc, levels=None):
     `levels`, when given, are node ki's slot levels for pb's other row."""
     if levels is None:
         levels = _slot_levels(ssc.model_kind, ki + 1, pb[1 - ki], ssc)
-    if all(math.isinf(c) for c in ssc.battery_capacity):
+    if all(math.isinf(c) for c in ssc.battery_capacity.tolist()):
         pb[ki] = _dwf_single(ssc.harvests[ki], levels)
     else:
         pb[ki] = _dwf_bounded(ssc.harvests[ki], ssc.battery_capacity[ki], levels)

@@ -303,6 +303,25 @@ class TestCli:
         assert cli.main(["verify", "--config", cfg]) == 0
         assert "PASS" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    @pytest.mark.parametrize("scenario", [
+        # harvests whose arithmetic overflows in the pool solve, the policy
+        # check and the MAC pool
+        dict(VALID_SCENARIO, harvests_mJ=[[1e308, 1e308], [1e308, 1e308]]),
+        dict(VALID_SCENARIO, harvests_mJ=[[1e307, 1.0], [1.0, 1.0]]),
+        dict(VALID_SCENARIO, model="MAC", harvests_mJ=[[1e308, 1e308], [1e308, 1e308]]),
+        # an effective noise of 1e-297 mW: n1 * n2 underflows to 0
+        *(dict(VALID_SCENARIO, model=model, harvests_mJ=[[1e20, 1.0], [1.0, 1e20]],
+               noise_power_W=[1e-300, 1e-300], channel_gain_dB=[0.0, 0.0])
+          for model in ("TWC", "MAC", "THC")),
+    ])
+    def test_out_of_range_arithmetic_is_input_error(self, tmp_path, capsys, command, scenario):
+        cfg = write_json(tmp_path, "sc.json", scenario)
+        assert cli.main([command, "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "PASS" not in captured.out
+
     def test_baseline_ok(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "sc.json", VALID_SCENARIO)
         assert cli.main(["baseline", "--config", cfg,

@@ -71,6 +71,24 @@ class TestScenarioValidation:
             with pytest.raises(InputError, match="finite effective noise"):
                 make_scenario(gain_db=gain_db)
 
+    @pytest.mark.parametrize("noise_w, harvests, accepted", [
+        ((1e-103, 1e-103), ((1.0,), (1.0,)), True),      # 1e-100 mW: the lower limit
+        ((1e-103, 0.99e-103), ((1.0,), (1.0,)), False),
+        ((1e97, 1e97), ((1.0,), (1.0,)), True),          # 1e100 mW: the upper limit
+        ((1e97, 1.01e97), ((1.0,), (1.0,)), False),
+        ((1e-13, 1e-13), ((0.5e100,), (0.5e100,)), True),
+        ((1e-13, 1e-13), ((0.5e100,), (0.51e100,)), False),
+        ((1e-13, 1e-13), ((1e308,), (1e308,)), False),  # the total overflows
+    ])
+    def test_effective_noise_and_total_harvest_bounds(self, noise_w, harvests, accepted):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            if accepted:
+                make_scenario(noise_w=noise_w, gain_db=(0.0, 0.0), harvests=harvests)
+            else:
+                with pytest.raises(InputError, match="effective noise|total harvest"):
+                    make_scenario(noise_w=noise_w, gain_db=(0.0, 0.0), harvests=harvests)
+
     def test_non_numeric_rejected(self):
         with pytest.raises(InputError, match="harvests must be numeric"):
             dataclasses.replace(make_scenario(), harvests="abc")

@@ -3,17 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from conftest import level_rate, make_scenario
-from ehcoop.model import ModelKind, rate
+from conftest import level_rate, make_scenario, random_scenario
+from ehcoop.model import InputError, ModelKind, rate
 from ehcoop.transfer import (
     Regime,
     applied_rate,
     level_pieces,
     mac_transfer,
     rate_grid,
+    slot_rate,
     slot_transfer,
     thc_transfer,
-    twc_case_rate,
     twc_transfer,
     water_level,
 )
@@ -65,7 +65,7 @@ class TestTwcTransfer:
             st = twc_transfer(pb1, pb2, sc)
             direct = applied_rate(ModelKind.TWC, pb1, pb2, st.delta, sc)
             assert st.rate_nats == pytest.approx(direct, abs=1e-12)
-            assert twc_case_rate(pb1, pb2, st.regime, sc) == pytest.approx(direct, abs=1e-12)
+            assert slot_rate(ModelKind.TWC, sc)(pb1, pb2) == st.rate_nats
 
 
 class TestThcTransfer:
@@ -192,6 +192,51 @@ class TestFloatKernels:
             for k, q in ((1, pb2), (2, pb1)):
                 pieces = level_pieces(model, k, q, sc)
                 assert all(type(x) is float for piece in pieces for x in piece)
+
+
+def rate_before_kernel(model, pb1, pb2, sc):
+    """The slot rate as slot_transfer computed it before slot_rate: the TWC
+    five-case closed form of its regime, and the THC and MAC rates of its
+    transfer applied to the consumed powers."""
+    st = slot_transfer(model, pb1, pb2, sc)
+    if model is not ModelKind.TWC:
+        return applied_rate(model, pb1, pb2, st.delta, sc)
+    n1, n2 = sc.effective_noise_mw.tolist()
+    a1, a2 = sc.transfer_efficiency.tolist()
+    if st.regime is Regime.NO_TRANSFER:
+        return 0.5 * math.log1p(pb1 / n1) + 0.5 * math.log1p(pb2 / n2)
+    if st.regime is Regime.INTERIOR_1:
+        s = (n1 + pb1) + (n2 + pb2) / a1
+        return math.log(0.5 * s * math.sqrt(a1 / (n1 * n2)))
+    if st.regime is Regime.INTERIOR_2:
+        s = (n2 + pb2) + (n1 + pb1) / a2
+        return math.log(0.5 * s * math.sqrt(a2 / (n1 * n2)))
+    if st.regime is Regime.FULL_1:
+        return 0.5 * math.log1p((pb2 + a1 * pb1) / n2)
+    return 0.5 * math.log1p((pb1 + a2 * pb2) / n1)
+
+
+class TestSlotRate:
+    @pytest.mark.parametrize("model", list(ModelKind))
+    def test_equals_slot_transfer_bit_for_bit(self, model):
+        rng = np.random.default_rng(101 + list(ModelKind).index(model))
+        regimes = set()
+        for draw in range(40):
+            sc = random_scenario(rng, model)
+            # alpha = 0 on either side, then both
+            pattern = ((1, 1), (0, 1), (1, 0), (0, 0))[draw % 4]
+            sc = sc.with_efficiency(*(sc.transfer_efficiency * pattern))
+            rate_of = slot_rate(model, sc)
+            pbs = rng.uniform(0, 0.3, size=(30, 2)) * (rng.random((30, 2)) < 0.8)
+            for pb1, pb2 in pbs.tolist():
+                st = slot_transfer(model, pb1, pb2, sc)
+                regimes.add(st.regime)
+                assert rate_of(pb1, pb2) == st.rate_nats == rate_before_kernel(model, pb1, pb2, sc)
+        assert len(regimes) >= (5 if model is ModelKind.TWC else 3)
+
+    def test_negative_power_rejected(self):
+        with pytest.raises(InputError):
+            slot_rate(ModelKind.THC, make_scenario())(-1.0, 0.0)
 
 
 class TestRateGrid:

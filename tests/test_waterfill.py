@@ -1,3 +1,4 @@
+import bisect
 import math
 
 import numpy as np
@@ -18,13 +19,14 @@ from ehcoop import transfer, waterfill
 from ehcoop.transfer import level_at, level_pieces, slot_transfer
 from ehcoop.waterfill import (
     CooperationMode,
+    _capacity_objective,
     _dwf_bounded,
     _dwf_full,
     _dwf_single,
     _joint_polish,
     _relevel,
     _slot_levels,
-    _solve_pool,
+    _Pool,
     effective_scenario,
     bcd_solve,
     dwf_finite,
@@ -200,13 +202,136 @@ class TestStaircase:
         assert staircase(arrivals, capacity).sum() == pytest.approx(sum(arrivals), abs=1e-15)
 
 
+def generic_pool(pool, budget):
+    """The pool solve before knot fills and shared pools: every call merges
+    and sorts its knots from the level rows and re-sums the pool's inverse at
+    each knot it probes."""
+    if budget <= 0:
+        return [0.0] * len(pool), 0.0, 0.0
+    caps = [lev.cap for lev in pool]
+    cap_total = sum(caps)
+    if cap_total < budget - waterfill.ENERGY_TOL or cap_total == 0:
+        return caps, math.inf, budget - cap_total
+
+    def fill(level):
+        return sum(lev.inv(level) for lev in pool)
+
+    knots = sorted({x for lev in pool for _, slope, icpt, end, low in lev.rows
+                    if math.isfinite(icpt) for x in (low, slope * end + icpt)
+                    if math.isfinite(x)})
+    i = bisect.bisect_left(knots, budget, key=fill)
+    if i < len(knots):
+        lo, hi = knots[i - 1], knots[i]
+        level = lo + (budget - fill(lo)) * (hi - lo) / (fill(hi) - fill(lo))
+    else:
+        level = knots[-1]
+        rise = sum(1.0 / lev.rows[-1][1] for lev in pool if math.isinf(lev.cap))
+        if rise > 0:
+            level += (budget - fill(level)) / rise
+    return [lev.inv(level) for lev in pool], level, 0.0
+
+
+def generic_dwf_bounded(arrivals, capacity, levels):
+    """_dwf_bounded with a separate generic_pool for each segment to U and
+    to L."""
+    def segment(slots, budget):
+        powers, level, surplus = generic_pool([levels[i] for i in slots], budget)
+        if surplus > 0:
+            spread = surplus / len(powers)
+            return (math.inf, spread), [p + spread for p in powers]
+        return (level, 0.0), powers
+
+    upper = np.cumsum(arrivals)
+    lower = upper - capacity
+    lower[-1] = upper[-1]
+    upper, lower = upper.tolist(), lower.tolist()
+    n = len(upper)
+    out = np.zeros(n)
+    i0, b0 = 0, 0.0
+    while i0 < n:
+        hi = lo = None
+        for j in range(i0 + 1, n + 1):
+            up = (*segment(range(i0, j), upper[j - 1] - b0), j)
+            down = up if j == n else (*segment(range(i0, j), lower[j - 1] - b0), j)
+            if hi is not None and down[0] > hi[0]:
+                pivot, b0 = hi, upper[hi[2] - 1]
+                break
+            if lo is not None and lo[0] > up[0]:
+                pivot, b0 = lo, lower[lo[2] - 1]
+                break
+            if hi is None or up[0] < hi[0]:
+                hi = up
+            if lo is None or down[0] > lo[0]:
+                lo = down
+        else:
+            pivot = up
+        _, powers, end = pivot
+        out[i0:end] = powers
+        i0 = end
+    return out
+
+
+def random_levels(rng, model, n):
+    """Slot levels of a random node against random other-node powers, with
+    alpha = 0 on either side in some draws (the two-hop flat directions)."""
+    sc = random_scenario(rng, model)
+    sc = sc.with_efficiency(*(sc.transfer_efficiency * (rng.random(2) < 0.7)))
+    other = rng.uniform(0, 0.3, size=n) * (rng.random(n) < 0.8)
+    return _slot_levels(model, int(rng.integers(1, 3)), other, sc)
+
+
 class TestSolvePool:
     def test_all_flat_pool_returns_budget_as_surplus(self):
         # two-hop node 1 with a1 = 0 and the other node silent: every slot's
         # level is flat from zero, so the pool has no knots
         sc = make_scenario(model=ModelKind.THC, alpha=(0.0, 0.5))
         levels = _slot_levels(ModelKind.THC, 1, [0.0, 0.0], sc)
-        assert _solve_pool([0, 1], levels, 5e-12) == ([0.0, 0.0], math.inf, 5e-12)
+        assert _Pool(levels).solve(5e-12) == ([0.0, 0.0], math.inf, 5e-12)
+
+    @pytest.mark.parametrize("model", list(ModelKind))
+    def test_knot_fills_are_the_inverse_at_each_knot(self, model):
+        rng = np.random.default_rng(211 + list(ModelKind).index(model))
+        for lev in random_levels(rng, model, 200):
+            assert lev.knots == sorted(set(lev.knots))
+            assert len(lev.fills) == len(lev.knots)
+            assert all(f == lev.inv(x) for x, f in zip(lev.knots, lev.fills))
+
+    @pytest.mark.parametrize("model", list(ModelKind))
+    def test_pools_equal_the_generic_pool_bit_for_bit(self, model):
+        # one-slot pools read their level's fills, and larger pools share
+        # their knot totals across budgets; neither may change a bit
+        rng = np.random.default_rng(223 + list(ModelKind).index(model))
+        for _ in range(60):
+            levels = random_levels(rng, model, int(rng.integers(1, 6)))
+            pool = _Pool(levels)
+            budgets = rng.uniform(0, 1.5, size=6).tolist() + [0.0, 1e-12]
+            budgets += [f for lev in levels for f in lev.fills]  # on a knot
+            for budget in budgets:
+                expected = generic_pool(levels, budget)
+                assert pool.solve(budget) == expected
+
+    @pytest.mark.parametrize("model", list(ModelKind))
+    def test_dwf_bounded_equals_separate_pools_bit_for_bit(self, model):
+        rng = np.random.default_rng(227 + list(ModelKind).index(model))
+        for _ in range(60):
+            n = int(rng.integers(1, 7))
+            levels = random_levels(rng, model, n)
+            arrivals = rng.uniform(0, 0.4, size=n) * (rng.random(n) < 0.8)
+            capacity = rng.uniform(0.05, 1.0) if rng.random() < 0.8 else INFINITE
+            assert np.array_equal(_dwf_bounded(arrivals, capacity, levels),
+                                  generic_dwf_bounded(arrivals, capacity, levels))
+
+    @pytest.mark.parametrize("model", list(ModelKind))
+    def test_capacity_objective_is_the_slot_sum(self, model):
+        rng = np.random.default_rng(229 + list(ModelKind).index(model))
+        for _ in range(40):
+            sc = random_scenario(rng, model)
+            sc = sc.with_efficiency(*(sc.transfer_efficiency * (rng.random(2) < 0.7)))
+            pb = rng.uniform(0, 0.3, size=(2, sc.n_slots)) * (rng.random((2, sc.n_slots)) < 0.8)
+            total = 0.0
+            for i in range(sc.n_slots):
+                total += slot_transfer(model, pb[0, i], pb[1, i], sc).rate_nats
+            assert _capacity_objective(model, pb, sc) == total
 
 
 class TestMacGains:
