@@ -45,7 +45,6 @@ from .harness import (
     SweepRow,
     SweepSpec,
     emit,
-    generate_harvests,
     load_scenario,
     run_sweep,
 )

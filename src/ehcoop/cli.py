@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 input error, 2 solver non-convergence,
+Exit codes: 0 success, 1 input error, 2 solver non-convergence or a
+solver policy that fails the feasibility check (no valid answer),
 3 verification failure.
 """
 
@@ -12,7 +13,7 @@ import math
 import sys
 
 from . import baselines, harness, waterfill
-from .model import InputError, objective
+from .model import InfeasiblePolicyError, InputError, objective
 from .waterfill import CooperationMode
 
 MODE_FLAGS = {
@@ -118,6 +119,9 @@ def main(argv=None):
     except (InputError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except InfeasiblePolicyError as exc:
+        print(f"error: solver produced an infeasible policy: {exc}", file=sys.stderr)
+        return EXIT_NONCONVERGED
 
 
 if __name__ == "__main__":

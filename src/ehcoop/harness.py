@@ -130,14 +130,6 @@ def load_sweep_spec(path) -> SweepSpec:
     return sweep_spec_from_dict(_load_json(path, "sweep"))
 
 
-def generate_harvests(peak_mJ, n, seed) -> np.ndarray:
-    """n i.i.d. uniforms on [0, peak] from the documented Philox stream."""
-    if peak_mJ < 0:
-        raise InputError("peak harvest must be non-negative")
-    rng = np.random.Generator(np.random.Philox(seed=np.random.SeedSequence(seed)))
-    return peak_mJ * rng.random(n)
-
-
 def _trial_uniforms(seed, trial, node, n):
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(trial, node))
     rng = np.random.Generator(np.random.Philox(seed=ss))
@@ -278,14 +270,10 @@ def report_to_dict(report: SolveReport, sc: Scenario) -> dict:
 
 
 def emit(obj, fmt, path):
-    """Write a SolveReport (json) or sweep rows (csv/json) to path."""
+    """Write a report dict (json) or sweep rows (csv) to path."""
     if fmt == "json":
-        if isinstance(obj, dict):
-            payload = obj
-        else:
-            payload = [r.__dict__ for r in obj]
         with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2)
+            json.dump(obj, fh, indent=2)
             fh.write("\n")
     elif fmt == "csv":
         with open(path, "w", newline="") as fh:

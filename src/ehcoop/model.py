@@ -17,7 +17,6 @@ import numpy as np
 INFINITE = math.inf
 
 FEAS_TOL_MJ = 1e-9
-EQ_RTOL = 1e-12
 NOISE_RANGE_MW = (1e-100, 1e100)
 HARVEST_TOTAL_MAX_MJ = 1e100
 
@@ -204,7 +203,6 @@ class BatteryTrace:
 class FeasibilityReport:
     feasible: bool
     first_violation: tuple | None = None  # (node, slot, kind)
-    worst_causality_slack: float = math.inf
 
 
 def battery_trace(policy: TransferPolicy, sc: Scenario) -> BatteryTrace:
@@ -232,16 +230,15 @@ def battery_trace(policy: TransferPolicy, sc: Scenario) -> BatteryTrace:
 def check_feasible(policy: TransferPolicy, sc: Scenario) -> FeasibilityReport:
     """Energy causality (S >= 0) and sign checks; overflow is legal but recorded."""
     trace = battery_trace(policy, sc)
-    worst = float(np.min(trace.state))
     for k in range(2):
         for i in range(sc.n_slots):
             if policy.p[k, i] < -1e-12 or policy.delta[k, i] < -1e-12:
-                return FeasibilityReport(False, (k + 1, i + 1, "negativity"), worst)
+                return FeasibilityReport(False, (k + 1, i + 1, "negativity"))
     for i in range(sc.n_slots):
         for k in range(2):
             if trace.state[k, i] < -FEAS_TOL_MJ:
-                return FeasibilityReport(False, (k + 1, i + 1, "causality"), worst)
-    return FeasibilityReport(True, None, worst)
+                return FeasibilityReport(False, (k + 1, i + 1, "causality"))
+    return FeasibilityReport(True)
 
 
 def rate(model_kind: ModelKind, p1: float, p2: float, sc: Scenario) -> float:

@@ -2,14 +2,14 @@
 
 Single-node generalized directional water-filling over the exact per-slot
 levels (piecewise affine, so each pool's common level is one linear
-solve), in two forms: a pool merge for an infinite battery, and the taut
-string between the cumulative arrivals and the overflow floor for a finite
-one.  The MAC reduces to a single node with SNR-weighted arrivals
-g1*E1 + g2*E2 (transfer.mac_gains), whose staircase policy is that same
-taut string with each slot's level equal to its power.  Around these:
-block coordinate descent across the two nodes for infinite batteries and
-the nodes solved alternately for finite ones, both with one combined-flow
-refinement for the two-hop min-rate objective.
+solve): the taut string between the cumulative arrivals and the overflow
+floor, for either battery kind (an infinite battery has no floor before
+the last slot).  The MAC reduces to a single node with SNR-weighted
+arrivals g1*E1 + g2*E2 (transfer.mac_gains), whose staircase policy is
+that same taut string with each slot's level equal to its power.  Around
+it: one loop that solves the two nodes alternately, for both battery
+kinds, with one combined-flow refinement for the two-hop min-rate
+objective.
 
 Solvers operate internally on a unit-slot copy of the scenario (noise
 scaled by slot length) so that consumed power and per-slot energy are the
@@ -37,9 +37,7 @@ from .model import (
 )
 
 ENERGY_TOL = 1e-11
-BCD_OBJ_TOL = 1e-10
-BCD_MAX_ITER = 200
-FINITE_MAX_PASSES = 500
+MAX_PASSES = 500
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -68,7 +66,7 @@ class SolveReport:
     transmit: TransferPolicy
     objective_nats: float
     levels: np.ndarray            # [node, slot] generalized water levels
-    bcd_iterations: int
+    bcd_iterations: int           # alternation passes (0 for the MAC staircase)
     level_residual: float
     mode: CooperationMode
     converged: bool = True
@@ -132,8 +130,8 @@ def _relevel(levels, model_kind, k, other_powers, slots, sc):
 
 
 # ---------------------------------------------------------------------------
-# single-node directional water-filling: a pool merge for an infinite
-# battery, a taut string for a finite one and for the MAC staircase
+# single-node directional water-filling: a taut string for both battery
+# kinds and for the MAC staircase
 
 
 class _Pool:
@@ -198,33 +196,6 @@ class _Pool:
         return [lev.inv(level) for lev in levels], level, 0.0
 
 
-def _dwf_single(budgets, levels):
-    """Forward pool-merge directional water-filling for one node.
-
-    budgets[i] is the energy arriving at slot i; levels[i] the slot's
-    monotone level function.  Returns the consumed power per slot.
-    """
-    budgets = np.asarray(budgets, dtype=float).tolist()
-    n = len(budgets)
-    pools = []  # (start, end, budget, powers, level)
-    carry = 0.0
-    for i in range(n):
-        b = budgets[i] + carry
-        carry = 0.0
-        powers, level, surplus = _Pool(levels[i:i + 1]).solve(b)
-        pools.append((i, i, b - surplus, powers, level))
-        if surplus > 0 and i < n - 1:
-            carry = surplus
-        while len(pools) >= 2 and pools[-1][4] < pools[-2][4] * (1 - 1e-12) - 1e-12:
-            (_, end, top_budget, _, _), (start, _, prev_budget, _, _) = pools.pop(), pools.pop()
-            b = prev_budget + top_budget
-            powers, level, surplus = _Pool(levels[start:end + 1]).solve(b)
-            pools.append((start, end, b - surplus, powers, level))
-            if surplus > 0 and end < n - 1:
-                carry += surplus
-    return np.array([p for pool in pools for p in pool[3]], dtype=float)
-
-
 def _segment(pool, budget):
     """Rank and powers of one taut-string segment, a _Pool holding `budget`:
     its pool level, or (inf, surplus per slot) when the slots' flat
@@ -242,7 +213,8 @@ def _dwf_bounded(arrivals, capacity, levels):
 
     Cumulative consumption is the taut string between the cumulative
     arrivals U (the battery cannot go below empty) and L = U - capacity (nor
-    above full), ending on U: every arrival is consumed.  From the last
+    above full), ending on U: every arrival is consumed.  An infinite
+    capacity puts L at -inf before the last slot.  From the last
     pivot, the segments to U and to L are ranked by the pool level that
     fills them (a slope, when each slot's level is its power); the string
     bends on the lowest segment to U once a segment to L must lie above it
@@ -378,20 +350,17 @@ def _build_report(sc, eff, ssc, pb, mode, iterations, converged):
 
 
 # ---------------------------------------------------------------------------
-# block coordinate descent (infinite battery) and the two-hop polish of both
-# battery kinds
+# the alternation of node solves and its two-hop polish, for both battery
+# kinds
 
 
 def _dwf_full(ki, pb, ssc, levels=None):
-    """Re-solve node ki's whole allocation with the other node's held fixed.
-    With any finite battery every arrival is consumed by the last slot.
-    `levels`, when given, are node ki's slot levels for pb's other row."""
+    """Re-solve node ki's whole allocation with the other node's held fixed;
+    every arrival is consumed by the last slot.  `levels`, when given, are
+    node ki's slot levels for pb's other row."""
     if levels is None:
         levels = _slot_levels(ssc.model_kind, ki + 1, pb[1 - ki], ssc)
-    if all(math.isinf(c) for c in ssc.battery_capacity.tolist()):
-        pb[ki] = _dwf_single(ssc.harvests[ki], levels)
-    else:
-        pb[ki] = _dwf_bounded(ssc.harvests[ki], ssc.battery_capacity[ki], levels)
+    pb[ki] = _dwf_bounded(ssc.harvests[ki], ssc.battery_capacity[ki], levels)
 
 
 def _search_move(base, tmax, apply_fn, objective_fn):
@@ -436,11 +405,8 @@ def _joint_polish(pb, ssc):
 
     A forward move (slot i to i+1) is capped by the battery headroom after
     slot i, so with an infinite battery it can take all of slot i.  When it
-    does not improve and the battery is finite, a backward move (slot i+1 to
-    i) capped by the energy stored after slot i is tried.  Infinite batteries
-    get no backward moves: they would lift some two-hop objectives, but at
-    1.3 to 1.6 times the solve time; that trade waits for an exact
-    two-fluid solve.
+    does not improve, a backward move (slot i+1 to i) capped by the energy
+    stored after slot i is tried.
     """
     model = ssc.model_kind
     cap = ssc.battery_capacity.tolist()
@@ -464,7 +430,7 @@ def _joint_polish(pb, ssc):
                 return trial
 
             trial, base = _search_move(base, min(pb[k, i], cap[k] - stored), move, obj)
-            if trial is None and math.isfinite(cap[k]):
+            if trial is None:
                 trial, base = _search_move(base, min(pb[k, i + 1], stored),
                                            lambda t: move(-t), obj)
             if trial is not None:
@@ -473,36 +439,45 @@ def _joint_polish(pb, ssc):
     return improved
 
 
-def bcd_solve(sc: Scenario, mode: CooperationMode = CooperationMode.BIDIRECTIONAL) -> SolveReport:
-    """Alternating per-node directional water-filling; infinite battery.  A
-    two-hop scenario also gets the combined-flow (two-fluid) refinement."""
-    if not all(math.isinf(c) for c in sc.battery_capacity):
-        raise InputError("infinite-battery solver called with finite capacity")
+def _alternate(sc, mode):
+    """Solve the two nodes alternately until a pass moves no consumed power
+    by 1e-10 or more; a pass runs up to 8 rounds while the two-hop polish
+    still improves.  The polish is not retried within 1e-10 of the last
+    allocation it could not improve."""
     eff = effective_scenario(sc, mode)
     ssc = eff.unit_slot()
-    model = ssc.model_kind
     pb = np.array(ssc.harvests, dtype=float)
-    converged = False
-    iterations = 0
-    prev_obj = -math.inf
-    prev_pb = None
-    for it in range(BCD_MAX_ITER):
-        iterations = it + 1
-        for ki in range(2):
-            _dwf_full(ki, pb, ssc)
-        obj = _capacity_objective(model, pb, ssc)
-        step = 0.0 if prev_pb is None else float(np.max(np.abs(pb - prev_pb)))
-        if prev_pb is not None and obj - prev_obj < BCD_OBJ_TOL * max(1.0, abs(obj)) \
-                and step < 1e-9:
-            if model is ModelKind.THC and _joint_polish(pb, ssc):
-                prev_obj = _capacity_objective(model, pb, ssc)
-                prev_pb = pb.copy()
-                continue
-            converged = True
-            break
-        prev_obj = obj
+    stalled = None
+    for passes in range(1, MAX_PASSES + 1):
         prev_pb = pb.copy()
-    return _build_report(sc, eff, ssc, pb, mode, iterations, converged)
+        for _ in range(8):
+            _dwf_full(0, pb, ssc)
+            _dwf_full(1, pb, ssc)
+            if ssc.model_kind is not ModelKind.THC or (
+                    stalled is not None and float(np.max(np.abs(pb - stalled))) < 1e-10):
+                break
+            if not _joint_polish(pb, ssc):
+                stalled = pb.copy()
+                break
+        if float(np.max(np.abs(pb - prev_pb))) < 1e-10:
+            return _build_report(sc, eff, ssc, pb, mode, passes, True)
+    return _build_report(sc, eff, ssc, pb, mode, MAX_PASSES, False)
+
+
+def bcd_solve(sc: Scenario, mode: CooperationMode = CooperationMode.BIDIRECTIONAL) -> SolveReport:
+    """Infinite-battery solver: alternating per-node directional
+    water-filling, with the joint polish for the two-hop kink."""
+    if not all(math.isinf(c) for c in sc.battery_capacity):
+        raise InputError("infinite-battery solver called with finite capacity")
+    return _alternate(sc, mode)
+
+
+def dwf_finite(sc: Scenario, mode: CooperationMode = CooperationMode.BIDIRECTIONAL) -> SolveReport:
+    """Finite-battery solver: alternating exact capacity-bounded per-node
+    water-filling, with the joint polish for the two-hop kink."""
+    if all(math.isinf(c) for c in sc.battery_capacity):
+        raise InputError("dwf_finite requires at least one finite capacity")
+    return _alternate(sc, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -552,35 +527,6 @@ def mac_solve(sc: Scenario, mode: CooperationMode = CooperationMode.BIDIRECTIONA
         if rem > 1e-7 * max(1.0, s[i]):
             raise InputError("staircase split exceeded pooled availability")
     return _build_report(sc, eff, ssc, pb, mode, 0, True)
-
-
-# ---------------------------------------------------------------------------
-# finite battery: alternating capacity-bounded node solves
-
-
-def dwf_finite(sc: Scenario, mode: CooperationMode = CooperationMode.BIDIRECTIONAL) -> SolveReport:
-    """Finite-battery solver: alternating exact capacity-bounded per-node
-    water-filling, with the joint polish for the two-hop kink."""
-    if all(math.isinf(c) for c in sc.battery_capacity):
-        raise InputError("dwf_finite requires at least one finite capacity")
-    eff = effective_scenario(sc, mode)
-    ssc = eff.unit_slot()
-    pb = np.array(ssc.harvests, dtype=float)
-    converged = False
-    passes = 0
-    for p in range(FINITE_MAX_PASSES):
-        passes = p + 1
-        prev_pb = pb.copy()
-        for _ in range(8):
-            _dwf_full(0, pb, ssc)
-            _dwf_full(1, pb, ssc)
-            if not (ssc.model_kind is ModelKind.THC
-                    and _joint_polish(pb, ssc)):
-                break
-        if float(np.max(np.abs(pb - prev_pb))) < 1e-10:
-            converged = True
-            break
-    return _build_report(sc, eff, ssc, pb, mode, passes, converged)
 
 
 # ---------------------------------------------------------------------------

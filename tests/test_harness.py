@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -11,8 +12,8 @@ import pytest
 
 from conftest import make_scenario
 import ehcoop
-from ehcoop import cli, harness
-from ehcoop.model import INFINITE, InputError, ModelKind, check_feasible
+from ehcoop import cli, harness, waterfill
+from ehcoop.model import InputError, ModelKind, TransferPolicy, check_feasible
 from ehcoop.waterfill import solve
 
 VALID_SCENARIO = {
@@ -64,21 +65,6 @@ class TestScenarioIO:
         sc = harness.scenario_from_dict(VALID_SCENARIO)
         again = harness.scenario_from_dict(harness.scenario_to_dict(sc))
         assert np.array_equal(sc.harvests, again.harvests)
-
-
-class TestGenerateHarvests:
-    def test_zero_peak(self):
-        assert np.all(harness.generate_harvests(0.0, 8, seed=1) == 0)
-
-    def test_deterministic(self):
-        a = harness.generate_harvests(10.0, 16, seed=42)
-        b = harness.generate_harvests(10.0, 16, seed=42)
-        assert np.array_equal(a, b)
-
-    def test_uniform_mean(self):
-        draws = harness.generate_harvests(10.0, 100_000, seed=7)
-        assert abs(np.mean(draws) - 5.0) < 0.1
-        assert np.all((draws >= 0) & (draws <= 10))
 
 
 class TestRunSweep:
@@ -322,6 +308,19 @@ class TestCli:
         assert captured.err.startswith("error: ")
         assert "PASS" not in captured.out
 
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_infeasible_solver_policy_is_an_error_line(self, tmp_path, capsys, command):
+        # in-range harvests of 1e7-1e8 mJ: the recovered policy misses the
+        # absolute feasibility tolerance of 1e-9 mJ
+        scenario = dict(VALID_SCENARIO, transfer_efficiency=[0.329, 0.9], harvests_mJ=[
+            [81475277.756, 81754375.025, 53955928.299, 32151131.108],
+            [10123416.726, 41420043.675, 43804954.515, 9301143.421]])
+        cfg = write_json(tmp_path, "sc.json", scenario)
+        assert cli.main([command, "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: solver produced an infeasible policy")
+        assert "PASS" not in captured.out
+
     def test_baseline_ok(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "sc.json", VALID_SCENARIO)
         assert cli.main(["baseline", "--config", cfg,
@@ -340,3 +339,49 @@ class TestCli:
         out = tmp_path / "rows.csv"
         assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 0
         assert out.read_text().startswith("swept_value,mode,")
+
+
+def _scaled_transmit(report, factor):
+    return dataclasses.replace(report, transmit=TransferPolicy(
+        report.transmit.p * factor, report.transmit.delta))
+
+
+def _transfer_unspent(report):
+    delta = report.transmit.delta.copy()
+    delta[0, 0] += 10.0
+    return dataclasses.replace(report, transmit=TransferPolicy(report.transmit.p, delta))
+
+
+def _two_way_immediate(report):
+    immediate = report.policy.immediate.copy()
+    immediate[:, 0] += 0.1
+    return dataclasses.replace(report, policy=dataclasses.replace(
+        report.policy, immediate=immediate))
+
+
+class TestVerifyFindings:
+    """`verify` fails, with one finding line naming the fault, on a solve
+    report doctored to break each of its checks."""
+
+    @pytest.mark.parametrize("capacity, doctor, finding", [
+        ("inf", lambda r: _scaled_transmit(r, 3.0), "solver policy infeasible: "),
+        ("inf", _transfer_unspent, "solver policy is not procrastinating"),
+        (1.0, _two_way_immediate, "solver policy is not partially procrastinating"),
+        ("inf", lambda r: dataclasses.replace(r, level_residual=1e-3),
+         "water-level residual 0.001 > 1e-7"),
+        ("inf", lambda r: dataclasses.replace(r, objective_nats=r.objective_nats - 0.1),
+         "below DP bound"),
+        (1.0, lambda r: dataclasses.replace(r, objective_nats=r.objective_nats + 0.1),
+         "by more than the grid slack"),
+    ])
+    def test_doctored_report_fails(self, tmp_path, capsys, monkeypatch,
+                                   capacity, doctor, finding):
+        d = dict(VALID_SCENARIO, harvests_mJ=[[0.4, 1.0], [0.2, 0.6]],
+                 battery_capacity_mJ=[capacity, capacity])
+        cfg = write_json(tmp_path, "sc.json", d)
+        real_solve = waterfill.solve
+        monkeypatch.setattr(waterfill, "solve", lambda sc, *mode: doctor(real_solve(sc, *mode)))
+        assert cli.main(["verify", "--config", cfg]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "FAIL"
+        assert [line for line in lines[:-1] if finding in line]

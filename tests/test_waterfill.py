@@ -22,7 +22,6 @@ from ehcoop.waterfill import (
     _capacity_objective,
     _dwf_bounded,
     _dwf_full,
-    _dwf_single,
     _joint_polish,
     _relevel,
     _slot_levels,
@@ -71,7 +70,7 @@ def thc_taut_string_policy(sc):
 def dwf_node(k, other, sc):
     """Node k's consumed powers from the infinite-battery water-fill, with
     the other node's held at `other` (unit slots)."""
-    return _dwf_single(sc.harvests[k - 1], _slot_levels(sc.model_kind, k, other, sc))
+    return _dwf_bounded(sc.harvests[k - 1], INFINITE, _slot_levels(sc.model_kind, k, other, sc))
 
 
 def single_node_sc(harvests1, model=ModelKind.TWC):
@@ -409,12 +408,42 @@ class TestThcSolve:
         assert check_feasible(policy, sc).feasible
         assert objective(policy, sc) == pytest.approx(3.219976683840179, abs=1e-12)
 
-    @pytest.mark.xfail(strict=True, reason="THC none mode stalls below the taut "
-                                           "string (2.647833020708971 nats)")
     def test_none_mode_reaches_taut_string(self):
+        # the pool-merge water-fill stalled here at 2.647833020708971 nats
         sc = inf_bcd_entry_23()
         reference = objective(thc_taut_string_policy(sc), sc)
         assert solve(sc, CooperationMode.NO_COOPERATION).objective_nats >= reference - 1e-9
+
+    def test_random_none_mode_is_the_taut_string_and_modes_nest(self):
+        # the pool-merge water-fill ended below the taut string, and broke
+        # bi >= uni >= none, on dozens of these draws
+        rng = np.random.default_rng(59)
+        for _ in range(100):
+            sc = random_scenario(rng, ModelKind.THC, n_max=6)
+            reference = objective(thc_taut_string_policy(sc), sc)
+            vals = {m: solve(sc, m).objective_nats for m in CooperationMode}
+            none = vals[CooperationMode.NO_COOPERATION]
+            assert none == pytest.approx(reference, rel=1e-9, abs=1e-12)
+            for uni in (CooperationMode.UNI_1_TO_2, CooperationMode.UNI_2_TO_1):
+                assert vals[uni] >= reference - 1e-9
+                assert vals[uni] >= none - 1e-9
+                assert vals[CooperationMode.BIDIRECTIONAL] >= vals[uni] - 1e-9
+
+    def test_polish_is_not_retried_where_it_failed(self, monkeypatch):
+        # the node solves settle after one round; the polish finds nothing
+        # there, and the next round's node solves return within 1e-10 of it
+        sc = make_scenario(
+            model=ModelKind.THC, alpha=(0.3673537390903534, 0.7992763514812304),
+            gain_db=(-97.73122672858605, -98.52362314531442),
+            harvests=((9.180475409996028, 8.605109461151896, 9.03713470566495),
+                      (7.955237307033812, 1.9420096873733705, 3.0095810994642305)))
+        calls = []
+        polish = waterfill._joint_polish
+        monkeypatch.setattr(waterfill, "_joint_polish",
+                            lambda pb, ssc: calls.append(pb) or polish(pb, ssc))
+        rep = bcd_solve(sc)
+        assert rep.converged and rep.bcd_iterations == 2
+        assert len(calls) == 1
 
     @staticmethod
     def assert_probes_rebuild_two_levels(monkeypatch, sc, mode):
