@@ -136,24 +136,40 @@ def _relevel(levels, model_kind, k, other_powers, slots, sc):
 
 class _Pool:
     """Slots held at one common water level, solved for any number of
-    budgets.  Its sorted knots are merged once and its total inverse at each
-    knot computed at most once, in slot order; a one-slot pool reads its
-    level's knots and fills."""
+    budgets, and grown one slot at a time by `add`.  Its knots are kept
+    sorted, and each knot's total inverse is extended over the slots added
+    since, in slot order, only when a solve reads it; a one-slot pool reads
+    its level's knots and fills."""
 
-    __slots__ = ("levels", "caps", "cap_total", "knots", "totals")
+    __slots__ = ("levels", "caps", "cap_total", "knots", "invs", "totals")
 
-    def __init__(self, levels):
-        self.levels = levels
-        self.caps = [lev.cap for lev in levels]
-        self.cap_total = sum(self.caps)
-        self.knots = None
+    def __init__(self, levels=()):
+        self.levels, self.caps, self.cap_total = [], [], 0
+        # per knot: the inverse of each slot counted so far, and their sum
+        self.knots, self.invs, self.totals = [], [], []
+        for lev in levels:
+            self.add(lev)
+
+    def add(self, lev):
+        """Append one slot, merging its knots into the sorted list."""
+        self.levels.append(lev)
+        self.caps.append(lev.cap)
+        self.cap_total = sum(self.caps)  # as summed afresh, on every Python
+        knots = self.knots
+        for x in lev.knots:
+            i = bisect.bisect_left(knots, x)
+            if i == len(knots) or knots[i] != x:
+                knots.insert(i, x)
+                self.invs.insert(i, [])
+                self.totals.insert(i, None)
 
     def _total(self, j):
-        total = self.totals[j]
-        if total is None:
+        invs, levels = self.invs[j], self.levels
+        if len(invs) < len(levels):
             x = self.knots[j]
-            total = self.totals[j] = sum([lev.inv(x) for lev in self.levels])
-        return total
+            invs += [lev.inv(x) for lev in levels[len(invs):]]
+            self.totals[j] = sum(invs)
+        return self.totals[j]
 
     def solve(self, budget):
         """Allocate `budget` across the pool at the lowest common level that
@@ -171,14 +187,11 @@ class _Pool:
         cap_total = self.cap_total
         # slots all flat from zero have no knots and take nothing
         if cap_total < budget - ENERGY_TOL or cap_total == 0:
-            return self.caps, math.inf, budget - cap_total
+            return list(self.caps), math.inf, budget - cap_total
         if len(levels) == 1:
             knots, fills = levels[0].knots, levels[0].fills
             i, total = bisect.bisect_left(fills, budget), fills.__getitem__
         else:
-            if self.knots is None:
-                self.knots = sorted({x for lev in levels for x in lev.knots})
-                self.totals = [None] * len(self.knots)
             knots, total = self.knots, self._total
             # the probes of bisecting the knots by their totals
             i = bisect.bisect_left(range(len(knots)), budget, key=total)
@@ -220,8 +233,9 @@ def _dwf_bounded(arrivals, capacity, levels):
     bends on the lowest segment to U once a segment to L must lie above it
     (the battery empties there, and the level rises), or on the highest
     segment to L once a segment to U must lie below it (the battery is full,
-    and the level falls).  The segments to U and to L over the same slots
-    share one pool.  Returns the consumed power per slot.
+    and the level falls).  Each pivot grows one pool by a slot per
+    candidate end, and its segments to U and to L share it.  Returns the
+    consumed power per slot.
     """
     upper = np.cumsum(arrivals)
     lower = upper - capacity
@@ -232,8 +246,9 @@ def _dwf_bounded(arrivals, capacity, levels):
     i0, b0 = 0, 0.0
     while i0 < n:
         hi = lo = None  # (rank, powers, end) of the tightest segment to U, to L
+        pool = _Pool()
         for j in range(i0 + 1, n + 1):
-            pool = _Pool(levels[i0:j])
+            pool.add(levels[j - 1])
             up = (*_segment(pool, upper[j - 1] - b0), j)
             down = up if j == n else (*_segment(pool, lower[j - 1] - b0), j)
             if hi is not None and down[0] > hi[0]:

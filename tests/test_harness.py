@@ -12,7 +12,7 @@ import pytest
 
 from conftest import make_scenario
 import ehcoop
-from ehcoop import cli, harness, waterfill
+from ehcoop import cli, harness, transfer, waterfill
 from ehcoop.model import InputError, ModelKind, TransferPolicy, check_feasible
 from ehcoop.waterfill import solve
 
@@ -251,6 +251,15 @@ class TestCli:
         cfg = write_json(tmp_path, "sc.json", VALID_SCENARIO)
         assert cli.main(["verify", "--config", cfg, "--grid-points", grid_points]) == 1
         assert "error: grid_points" in capsys.readouterr().err
+
+    def test_verify_oversize_dp_is_input_error(self, tmp_path, capsys, monkeypatch):
+        # at 400 grid points these two slots reach 400 x 229 states, far below
+        # max_states, but slot 2 needs a 400 x 172 x 229-cell array
+        d = dict(VALID_SCENARIO, harvests_mJ=[[1.0, 0.4], [0.6, 0.2]])
+        cfg = write_json(tmp_path, "sc.json", d)
+        monkeypatch.setattr(transfer, "rate_grid", lambda *args: pytest.fail("allocated"))
+        assert cli.main(["verify", "--config", cfg, "--grid-points", "400"]) == 1
+        assert "max_states" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["solve", "verify"])
     @pytest.mark.parametrize("capacity", [None, [1], True, "full"])

@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_scenario
+from conftest import make_scenario, random_scenario
 from ehcoop import transfer
 from ehcoop.model import INFINITE, InputError, ModelKind, Scenario, check_feasible, objective
-from ehcoop.oracle import DpConfig, dp_solve, grid_transfer_max
+from ehcoop.oracle import MAX_STATES, DpConfig, dp_solve, grid_transfer_max
 from ehcoop.transfer import slot_transfer
 
 
@@ -48,6 +48,72 @@ def reference_dp_value(sc, q, stores=True):
         return best
 
     return value(0, 0, 0) * sc.slot_seconds
+
+
+def tagged_dp_value(sc, cfg):
+    """The DP value by the earlier tag-based backward pass: per slot, loops
+    over the stored transfers e1 and e2 and over the consumptions b1, each
+    keeping a candidate only where it beats the best so far by more than
+    1e-15.  Same sizing and rate table as `dp_solve`."""
+    ssc = sc.unit_slot()
+    q = cfg.quantum_for(sc)
+    n = ssc.n_slots
+    h = np.floor(ssc.harvests / q + 1e-12).astype(int)
+    alpha = ssc.transfer_efficiency
+    use_eps = not np.isinf(ssc.battery_capacity).all() and (alpha[0] > 0 or alpha[1] > 0)
+    total = int(np.sum(h))
+    s1max, s2max = (min(int(math.floor(c / q + 1e-12)), total) if math.isfinite(c)
+                    else total if use_eps else int(np.sum(h[k]))
+                    for k, c in enumerate(ssc.battery_capacity))
+
+    def received(k, e):
+        return int(alpha[k] * e + 1e-9)
+
+    def keep_better(best, cand):
+        mask = cand > best + 1e-15
+        best[mask] = cand[mask]
+
+    reach, have = [(0, 0)], []
+    for i in range(n):
+        m1, m2 = reach[i][0] + int(h[0, i]), reach[i][1] + int(h[1, i])
+        got1, got2 = (received(1, m2), received(0, m1)) if use_eps else (0, 0)
+        have.append((m1, m2))
+        reach.append((min(m1 + got1, s1max), min(m2 + got2, s2max)))
+    bmax1, bmax2 = map(max, zip(*have))
+    rate_tab = transfer.rate_grid(ssc.model_kind, np.arange(bmax1 + 1) * q,
+                                  np.arange(bmax2 + 1) * q, ssc)
+    V = np.zeros((reach[n][0] + 1, reach[n][1] + 1))
+    for i in range(n - 1, -1, -1):
+        h1i, h2i = int(h[0, i]), int(h[1, i])
+        s1_axis, s2_axis = np.arange(reach[i][0] + 1), np.arange(reach[i][1] + 1)
+        m1_axis, m2_axis = np.arange(have[i][0] + 1), np.arange(have[i][1] + 1)
+        M1, M2 = len(m1_axis), len(m2_axis)
+        U = V[np.ix_(np.minimum(m1_axis, s1max), np.minimum(m2_axis, s2max))]
+        if use_eps:
+            for e1 in range(1, M1):
+                keep_better(U[e1:], V[np.ix_(np.minimum(m1_axis[e1:] - e1, s1max),
+                                             np.minimum(m2_axis + received(0, e1), s2max))])
+            for e2 in range(1, M2):
+                keep_better(U[:, e2:], V[np.ix_(np.minimum(m1_axis + received(1, e2), s1max),
+                                                np.minimum(m2_axis[e2:] - e2, s2max))])
+        U = np.concatenate([U, np.full((M1, 1), -math.inf)], axis=1)
+        col = s2_axis[:, None] + h2i - m2_axis[None, :]
+        col[col < 0] = M2
+        best = np.full((len(s1_axis), len(s2_axis)), -math.inf)
+        for b1 in range(M1):
+            lo1 = max(0, b1 - h1i)
+            cand = rate_tab[b1, :M2] + U[s1_axis[lo1:] + h1i - b1][:, col]
+            keep_better(best[lo1:], cand.max(axis=2))
+        V = best
+    return float(V[0, 0]) * sc.slot_seconds
+
+
+def assert_policy_attains(sc, cfg):
+    """dp_solve's policy is feasible and worth at least its value."""
+    value, policy = dp_solve(sc, cfg)
+    assert check_feasible(policy, sc).feasible
+    assert objective(policy, sc) >= value - 1e-9
+    return value
 
 
 class TestDpSolve:
@@ -174,6 +240,49 @@ class TestDpSolve:
         value, _ = dp_solve(sc, DpConfig(energy_quantum_mJ=0.25))
         tight = make_scenario(harvests=((0.5, 0.25), (0.25, 0.0)), capacity=(1.0, 1.0))
         assert value == dp_solve(tight, DpConfig(energy_quantum_mJ=0.25))[0]
+
+    @pytest.mark.parametrize("model", list(ModelKind))
+    @pytest.mark.parametrize("finite", [False, True])
+    @pytest.mark.parametrize("grid_points", [20, 40])
+    def test_matches_tagged_backward_pass(self, model, finite, grid_points):
+        # a true max replaces the 1e-15 sequential tie rule, so the value may
+        # only rise, and by rounding alone
+        rng = np.random.default_rng(317 + 4 * list(ModelKind).index(model) + 2 * finite
+                                    + (grid_points == 40))
+        cfg = DpConfig(grid_points=grid_points)
+        for _ in range(8):
+            sc = random_scenario(rng, model, finite=finite)
+            value = assert_policy_attains(sc, cfg)
+            tagged = tagged_dp_value(sc, cfg)
+            assert tagged <= value <= tagged + 1e-12
+
+    @pytest.mark.parametrize("model", list(ModelKind))
+    @pytest.mark.parametrize("finite", [False, True])
+    @pytest.mark.parametrize("case", ["symmetric", "one-sided", "zero-slot"])
+    def test_exact_ties_give_an_attaining_policy(self, model, finite, case):
+        # equal nodes tie every action with its mirror; alpha = 0 ties every
+        # transfer from node 2 with none, while node 1's burst overflows its
+        # battery unless node 2 stores some; an all-zero slot ties consuming
+        # nothing then with keeping everything
+        harvests, alpha, capacity = [(1.0, 0.5, 1.5), (1.0, 0.5, 1.5)], (0.6, 0.6), (1.0, 1.0)
+        if case == "one-sided":
+            harvests, alpha, capacity = [(3.0, 0.0, 0.0), (0.0, 0.0, 0.0)], (0.6, 0.0), (0.5, 1.5)
+        elif case == "zero-slot":
+            harvests = [(1.0, 0.0, 1.5), (0.5, 0.0, 1.0)]
+        sc = make_scenario(model=model, harvests=harvests, alpha=alpha,
+                           capacity=capacity if finite else (INFINITE, INFINITE))
+        value = assert_policy_attains(sc, DpConfig(energy_quantum_mJ=0.25))
+        assert value == pytest.approx(reference_dp_value(sc, 0.25), abs=1e-12)
+
+    def test_oversize_arrays_refused_before_allocating(self, monkeypatch):
+        # 401^2 states pass MAX_STATES, but consuming from 401 x 401 leftovers
+        # needs a 401^3-cell array per slot
+        sc = make_scenario(harvests=((100.0, 100.0), (100.0, 100.0)))
+        cfg = DpConfig(energy_quantum_mJ=0.5)
+        assert 401 ** 2 <= MAX_STATES < 401 ** 3
+        monkeypatch.setattr(transfer, "rate_grid", lambda *args: pytest.fail("allocated"))
+        with pytest.raises(InputError, match="max_states"):
+            dp_solve(sc, cfg)
 
     def test_state_explosion_refused(self):
         sc = make_scenario(harvests=((100.0, 100.0), (100.0, 100.0)))

@@ -310,6 +310,23 @@ class TestSolvePool:
                 assert pool.solve(budget) == expected
 
     @pytest.mark.parametrize("model", list(ModelKind))
+    def test_grown_pool_equals_a_fresh_pool_bit_for_bit(self, model):
+        # solves between additions leave knot totals counted over fewer
+        # slots, which later solves must extend in slot order
+        rng = np.random.default_rng(233 + list(ModelKind).index(model))
+        for _ in range(60):
+            levels = random_levels(rng, model, int(rng.integers(2, 8)))
+            grown = _Pool()
+            for k, lev in enumerate(levels, 1):
+                grown.add(lev)
+                fresh = _Pool(levels[:k])
+                budgets = rng.uniform(0, 0.4 * k, size=3).tolist()
+                budgets += [f for lev in levels[:k] for f in lev.fills][:4]
+                for budget in budgets:
+                    assert grown.solve(budget) == fresh.solve(budget)
+                assert grown.knots == fresh.knots
+
+    @pytest.mark.parametrize("model", list(ModelKind))
     def test_dwf_bounded_equals_separate_pools_bit_for_bit(self, model):
         rng = np.random.default_rng(227 + list(ModelKind).index(model))
         for _ in range(60):
