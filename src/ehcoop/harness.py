@@ -297,6 +297,9 @@ def verify_scenario(sc: Scenario, grid_points=40):
     findings = []
     ok = True
     report = waterfill.solve(sc)
+    if not report.converged:
+        ok = False
+        findings.append(f"solver did not converge after {report.bcd_iterations} passes")
     feas = check_feasible(report.transmit, sc)
     if not feas.feasible:
         ok = False

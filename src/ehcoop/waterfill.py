@@ -38,7 +38,7 @@ from .model import (
 
 ENERGY_TOL = 1e-11
 MAX_PASSES = 500
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+SEARCH_PROBES = 96  # probes per polish line search, its screen included
 
 
 class CooperationMode(enum.Enum):
@@ -172,22 +172,22 @@ class _Pool:
         return self.totals[j]
 
     def solve(self, budget):
-        """Allocate `budget` across the pool at the lowest common level that
-        absorbs it.
+        """Rank of the pool holding `budget`: (the lowest common level that
+        absorbs it, 0.0), or (inf, surplus per slot) when the slots' flat
+        directions cap the pool below the budget and the surplus is spread
+        evenly over them.
 
         The pool's total inverse is continuous, non-decreasing and piecewise
         affine in the level, so bracketing the budget between two sorted
-        knots leaves one linear solve.  Returns (powers, level, surplus);
-        surplus > 0 when the slots' flat directions cap the pool below the
-        budget.
+        knots leaves one linear solve.
         """
         levels = self.levels
         if budget <= 0:
-            return [0.0] * len(levels), 0.0, 0.0
+            return 0.0, 0.0
         cap_total = self.cap_total
         # slots all flat from zero have no knots and take nothing
         if cap_total < budget - ENERGY_TOL or cap_total == 0:
-            return list(self.caps), math.inf, budget - cap_total
+            return math.inf, (budget - cap_total) / len(levels)
         if len(levels) == 1:
             knots, fills = levels[0].knots, levels[0].fills
             i, total = bisect.bisect_left(fills, budget), fills.__getitem__
@@ -198,27 +198,23 @@ class _Pool:
         if i < len(knots):
             lo, hi = knots[i - 1], knots[i]
             f_lo, f_hi = total(i - 1), total(i)
-            level = lo + (budget - f_lo) * (hi - lo) / (f_hi - f_lo)
-        else:
-            # past the last knot only unbounded last pieces still rise; with
-            # none the budget is within ENERGY_TOL of the caps
-            level = knots[-1]
-            rise = sum(1.0 / lev.rows[-1][1] for lev in levels if math.isinf(lev.cap))
-            if rise > 0:
-                level += (budget - total(len(knots) - 1)) / rise
-        return [lev.inv(level) for lev in levels], level, 0.0
+            return lo + (budget - f_lo) * (hi - lo) / (f_hi - f_lo), 0.0
+        # past the last knot only unbounded last pieces still rise; with none
+        # the budget is within ENERGY_TOL of the caps
+        level = knots[-1]
+        rise = sum(1.0 / lev.rows[-1][1] for lev in levels if math.isinf(lev.cap))
+        if rise > 0:
+            level += (budget - total(len(knots) - 1)) / rise
+        return level, 0.0
 
-
-def _segment(pool, budget):
-    """Rank and powers of one taut-string segment, a _Pool holding `budget`:
-    its pool level, or (inf, surplus per slot) when the slots' flat
-    directions cap it below the budget and the surplus is spread evenly over
-    them."""
-    powers, level, surplus = pool.solve(budget)
-    if surplus > 0:
-        spread = surplus / len(powers)
-        return (math.inf, spread), [p + spread for p in powers]
-    return (level, 0.0), powers
+    def fill(self, m, rank):
+        """Powers of the first m slots at the rank `solve` gave while the
+        pool held those m slots: each slot's inverse at the level, or its cap
+        plus the spread surplus."""
+        level, spread = rank
+        if math.isinf(level):
+            return [cap + spread for cap in self.caps[:m]]
+        return [lev.inv(level) for lev in self.levels[:m]]
 
 
 def _dwf_bounded(arrivals, capacity, levels):
@@ -234,8 +230,9 @@ def _dwf_bounded(arrivals, capacity, levels):
     (the battery empties there, and the level rises), or on the highest
     segment to L once a segment to U must lie below it (the battery is full,
     and the level falls).  Each pivot grows one pool by a slot per
-    candidate end, and its segments to U and to L share it.  Returns the
-    consumed power per slot.
+    candidate end, and its segments to U and to L share it; segments are
+    ranked by level alone, and only the pivot's powers are filled.  Returns
+    the consumed power per slot.
     """
     upper = np.cumsum(arrivals)
     lower = upper - capacity
@@ -245,17 +242,17 @@ def _dwf_bounded(arrivals, capacity, levels):
     out = np.zeros(n)
     i0, b0 = 0, 0.0
     while i0 < n:
-        hi = lo = None  # (rank, powers, end) of the tightest segment to U, to L
+        hi = lo = None  # (rank, end) of the tightest segment to U, to L
         pool = _Pool()
         for j in range(i0 + 1, n + 1):
             pool.add(levels[j - 1])
-            up = (*_segment(pool, upper[j - 1] - b0), j)
-            down = up if j == n else (*_segment(pool, lower[j - 1] - b0), j)
+            up = (pool.solve(upper[j - 1] - b0), j)
+            down = up if j == n else (pool.solve(lower[j - 1] - b0), j)
             if hi is not None and down[0] > hi[0]:
-                pivot, b0 = hi, upper[hi[2] - 1]
+                pivot, b0 = hi, upper[hi[1] - 1]
                 break
             if lo is not None and lo[0] > up[0]:
-                pivot, b0 = lo, lower[lo[2] - 1]
+                pivot, b0 = lo, lower[lo[1] - 1]
                 break
             if hi is None or up[0] < hi[0]:
                 hi = up
@@ -263,8 +260,8 @@ def _dwf_bounded(arrivals, capacity, levels):
                 lo = down
         else:
             pivot = up
-        _, powers, end = pivot
-        out[i0:end] = powers
+        rank, end = pivot
+        out[i0:end] = pool.fill(end - i0, rank)
         i0 = end
     return out
 
@@ -378,36 +375,90 @@ def _dwf_full(ki, pb, ssc, levels=None):
     pb[ki] = _dwf_bounded(ssc.harvests[ki], ssc.battery_capacity[ki], levels)
 
 
+def _brent_max(f, tmax, xtol, probes):
+    """Brent's method for the maximum of a unimodal f on [0, tmax]: golden
+    steps with parabolic interpolation (Brent 1973, the fminbound scheme),
+    stopped once the bracket reaches within 2/3 xtol of its best probe on
+    both sides, or after `probes` probes.  Probes lie in [0, tmax] and at
+    least xtol/3 apart; the caller keeps what they found."""
+    c = (3.0 - math.sqrt(5.0)) / 2.0
+    tol1 = xtol / 3.0
+    tol2 = 2.0 * tol1
+    a, b = 0.0, tmax
+    # x is the best probe, w the second best, v the one before w
+    x = w = v = c * tmax
+    fx = fw = fv = f(x)
+    d = e = 0.0
+    for _ in range(probes - 1):
+        xm = 0.5 * (a + b)
+        if abs(x - xm) <= tol2 - 0.5 * (b - a):
+            break
+        golden = True
+        if abs(e) > tol1:
+            # the vertex of the parabola through x, w and v, taken when it
+            # falls inside the bracket and moves less than half the step
+            # before last
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, d
+            if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+                golden = False
+                d = p / q
+                if x + d - a < tol2 or b - (x + d) < tol2:
+                    d = tol1 if xm >= x else -tol1
+        if golden:
+            e = (a if x >= xm else b) - x
+            d = c * e
+        step = max(abs(d), tol1)
+        u = x + step if d >= 0 else x - step
+        fu = f(u)
+        if fu >= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu >= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu >= fv or v == x or v == w:
+                v, fv = u, fu
+
+
 def _search_move(base, tmax, apply_fn, objective_fn):
-    """Probe-then-golden-section maximization of a concave move
-    t -> apply_fn(t) on [0, tmax]; returns (improved allocation or None, its
-    objective)."""
+    """Maximize the move value t -> objective_fn(apply_fn(t)) on [0, tmax];
+    returns (the best probed allocation or None, its objective), None unless
+    it beats `base`, the value at t = 0, by more than 1e-12.
+
+    The move value is concave: a partial maximization of a jointly concave
+    objective over the re-solved node.  So one probe at 1e-5*tmax that gains
+    nothing rules the whole move out; otherwise Brent's method brackets the
+    maximum to 1e-10*tmax, within SEARCH_PROBES probes in all.
+    """
     if tmax <= 1e-13:
         return None, base
+    best = [base, None]
 
-    def probe(t):
+    def value(t):
         trial = apply_fn(t)
-        return objective_fn(trial), trial
+        val = objective_fn(trial)
+        if val > best[0]:
+            best[:] = val, trial
+        return val
 
-    # the move value is concave in t, so a non-improving probe near zero
-    # rules the whole move out cheaply
-    if max(probe(1e-5 * tmax)[0], probe(0.05 * tmax)[0]) <= base + 1e-13:
+    if value(1e-5 * tmax) <= base + 1e-13:
         return None, base
-    # each step keeps one interior probe and adds one; the better of the last
-    # two lies in an interval narrowed 47 times, to GOLDEN**47 < 2e-10 of tmax
-    lo, hi = 0.0, tmax
-    m1, m2 = (1.0 - GOLDEN) * tmax, GOLDEN * tmax
-    f1, f2 = probe(m1), probe(m2)
-    for _ in range(46):
-        if f1[0] < f2[0]:
-            lo, m1, f1 = m1, m2, f2
-            m2 = lo + GOLDEN * (hi - lo)
-            f2 = probe(m2)
-        else:
-            hi, m2, f2 = m2, m1, f1
-            m1 = hi - GOLDEN * (hi - lo)
-            f1 = probe(m1)
-    val, trial = f2 if f1[0] < f2[0] else f1
+    _brent_max(value, tmax, 1e-10 * tmax, SEARCH_PROBES - 1)
+    val, trial = best
     if val > base + 1e-12:
         return trial, val
     return None, base

@@ -394,3 +394,21 @@ class TestVerifyFindings:
         lines = capsys.readouterr().out.splitlines()
         assert lines[-1] == "FAIL"
         assert [line for line in lines[:-1] if finding in line]
+
+    def test_unconverged_solve_fails(self, tmp_path, capsys, monkeypatch):
+        # default-seed verify-cli entry 2 (THC, infinite batteries) needs two
+        # passes; with one the solve reports converged=False
+        d = dict(VALID_SCENARIO, model="THC",
+                 harvests_mJ=[[9.180475409996028, 8.605109461151896, 9.03713470566495],
+                              [7.955237307033812, 1.9420096873733705, 3.0095810994642305]],
+                 battery_capacity_mJ=["inf", "inf"],
+                 transfer_efficiency=[0.3673537390903534, 0.7992763514812304],
+                 channel_gain_dB=[-97.73122672858605, -98.52362314531442])
+        cfg = write_json(tmp_path, "sc.json", d)
+        assert cli.main(["verify", "--config", cfg, "--grid-points", "20"]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(waterfill, "MAX_PASSES", 1)
+        assert cli.main(["verify", "--config", cfg, "--grid-points", "20"]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "FAIL"
+        assert "solver did not converge after 1 passes" in lines

@@ -230,15 +230,28 @@ def generic_pool(pool, budget):
     return [lev.inv(level) for lev in pool], level, 0.0
 
 
+def generic_segment(levels, budget):
+    """Rank and powers of the segment over `levels` holding `budget`, from
+    generic_pool: its level, or (inf, surplus per slot) with the surplus
+    spread evenly over the slots' caps."""
+    powers, level, surplus = generic_pool(levels, budget)
+    if surplus > 0:
+        spread = surplus / len(powers)
+        return (math.inf, spread), [p + spread for p in powers]
+    return (level, 0.0), powers
+
+
+def pool_result(pool, budget):
+    """A whole pool's rank and powers, as generic_segment gives them."""
+    rank = pool.solve(budget)
+    return rank, pool.fill(len(pool.levels), rank)
+
+
 def generic_dwf_bounded(arrivals, capacity, levels):
     """_dwf_bounded with a separate generic_pool for each segment to U and
     to L."""
     def segment(slots, budget):
-        powers, level, surplus = generic_pool([levels[i] for i in slots], budget)
-        if surplus > 0:
-            spread = surplus / len(powers)
-            return (math.inf, spread), [p + spread for p in powers]
-        return (level, 0.0), powers
+        return generic_segment([levels[i] for i in slots], budget)
 
     upper = np.cumsum(arrivals)
     lower = upper - capacity
@@ -285,7 +298,7 @@ class TestSolvePool:
         # level is flat from zero, so the pool has no knots
         sc = make_scenario(model=ModelKind.THC, alpha=(0.0, 0.5))
         levels = _slot_levels(ModelKind.THC, 1, [0.0, 0.0], sc)
-        assert _Pool(levels).solve(5e-12) == ([0.0, 0.0], math.inf, 5e-12)
+        assert pool_result(_Pool(levels), 5e-12) == ((math.inf, 2.5e-12), [2.5e-12] * 2)
 
     @pytest.mark.parametrize("model", list(ModelKind))
     def test_knot_fills_are_the_inverse_at_each_knot(self, model):
@@ -306,8 +319,7 @@ class TestSolvePool:
             budgets = rng.uniform(0, 1.5, size=6).tolist() + [0.0, 1e-12]
             budgets += [f for lev in levels for f in lev.fills]  # on a knot
             for budget in budgets:
-                expected = generic_pool(levels, budget)
-                assert pool.solve(budget) == expected
+                assert pool_result(pool, budget) == generic_segment(levels, budget)
 
     @pytest.mark.parametrize("model", list(ModelKind))
     def test_grown_pool_equals_a_fresh_pool_bit_for_bit(self, model):
@@ -323,7 +335,7 @@ class TestSolvePool:
                 budgets = rng.uniform(0, 0.4 * k, size=3).tolist()
                 budgets += [f for lev in levels[:k] for f in lev.fills][:4]
                 for budget in budgets:
-                    assert grown.solve(budget) == fresh.solve(budget)
+                    assert pool_result(grown, budget) == pool_result(fresh, budget)
                 assert grown.knots == fresh.knots
 
     @pytest.mark.parametrize("model", list(ModelKind))
@@ -515,6 +527,63 @@ class TestThcSolve:
                                                pb[1 - ki], (i, m), ssc))
             _dwf_full(ki, full, ssc)
             assert np.array_equal(moved, full)
+
+    @pytest.mark.parametrize("entry, mode, most", [
+        (inf_bcd_entry_5, CooperationMode.UNI_1_TO_2, 200),
+        (finite_dwf_entry_126, CooperationMode.UNI_2_TO_1, 170),
+    ])
+    def test_polish_node_solves_stay_few(self, monkeypatch, entry, mode, most):
+        # a two-probe screen and 48-probe golden-section searches took 304
+        # and 240 node solves here
+        calls = []
+        full = waterfill._dwf_full
+        monkeypatch.setattr(waterfill, "_dwf_full",
+                            lambda *args: calls.append(1) or full(*args))
+        assert solve(entry(), mode).converged
+        assert len(calls) <= most
+
+
+class TestSearchMove:
+    """The polish line search on closed-form concave moves; apply_fn is the
+    identity, so each probe is one objective call at t."""
+
+    TMAX = 2.5
+
+    @classmethod
+    def search(cls, f):
+        probes = []
+
+        def objective(t):
+            probes.append(t)
+            return f(t)
+
+        trial, val = waterfill._search_move(f(0.0), cls.TMAX, lambda t: t, objective)
+        assert all(0.0 <= t <= cls.TMAX for t in probes)
+        assert len(probes) <= waterfill.SEARCH_PROBES
+        return trial, val, probes
+
+    @pytest.mark.parametrize("f, argmax", [
+        (lambda t: min(t, (2.5 - t) / 2), 2.5 / 3),         # kink at tmax/3
+        (lambda t: math.log1p(t), 2.5),                     # maximum at tmax
+        (lambda t: t - 0.01 * t * t, 2.5),                  # a parabola peaking past tmax
+        (lambda t: min(t, 0.0375 - t / 2), 0.025),          # kink at 0.01*tmax
+    ])
+    def test_kink_or_end_maximum(self, f, argmax):
+        trial, val, _ = self.search(f)
+        assert abs(trial - argmax) <= 2e-10 * self.TMAX
+        assert val == f(trial)
+
+    def test_smooth_interior_maximum(self):
+        def f(t):
+            return math.log1p(t) - 0.4 * t
+        trial, val, _ = self.search(f)
+        assert val == f(trial)
+        assert val >= f(1.5) - 1e-13
+
+    def test_decreasing_move_is_screened_out(self):
+        trial, val, probes = self.search(lambda t: -t)
+        assert trial is None and val == 0.0
+        assert len(probes) == 1
 
 
 class TestMacSolve:
