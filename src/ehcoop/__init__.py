@@ -24,10 +24,7 @@ from .model import (
 from .transfer import (
     Regime,
     SlotTransfer,
-    mac_transfer,
     slot_transfer,
-    thc_transfer,
-    twc_transfer,
     water_level,
 )
 from .waterfill import (

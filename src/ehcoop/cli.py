@@ -14,6 +14,7 @@ import sys
 
 from . import baselines, harness, waterfill
 from .model import InfeasiblePolicyError, InputError, objective
+from .oracle import DpConfig
 from .waterfill import CooperationMode
 
 MODE_FLAGS = {
@@ -51,7 +52,7 @@ def _build_parser():
 
     p_verify = sub.add_parser("verify", help="DP oracle and invariant checks")
     p_verify.add_argument("--config", required=True, help="scenario JSON path")
-    p_verify.add_argument("--grid-points", type=int, default=40)
+    p_verify.add_argument("--grid-points", type=int, default=DpConfig.grid_points)
 
     p_base = sub.add_parser("baseline", help="evaluate a reference policy")
     p_base.add_argument("--config", required=True, help="scenario JSON path")

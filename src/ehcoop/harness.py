@@ -49,6 +49,11 @@ RNG_NAME = "numpy Philox (counter-based), SeedSequence-keyed"
 
 MAX_SWEEP_POINTS = 10_000  # values a lo/hi/step sweep range may expand to
 
+SCENARIO_FIELDS = ("model", "harvests_mJ", "battery_capacity_mJ", "transfer_efficiency",
+                   "channel_gain_dB", "noise_power_W", "slot_seconds")
+SWEEP_FIELDS = ("base_scenario", "swept_parameter", "values", "lo", "hi", "step", "modes",
+                "trials_per_point", "seed", "peak_harvest_node1", "peak_harvest_node2")
+
 MODE_NAMES = {m.value: m for m in CooperationMode}
 BASELINE_NAMES = {b.value: b for b in baselines.BaselineKind}
 
@@ -75,16 +80,23 @@ def _capacity(x):
     raise InputError(f"battery capacity must be a number or 'inf', got {x!r}")
 
 
+def _only_fields(d, fields, what):
+    """Reject keys outside a schema, where a misspelled one would go unnoticed."""
+    unknown = [repr(key) for key in d if key not in fields]
+    if unknown:
+        raise InputError(f"unknown {what} field(s) {', '.join(unknown)}")
+
+
 def scenario_from_dict(d: dict) -> Scenario:
     """Build a Scenario from the JSON schema; Scenario validates the values."""
     if not isinstance(d, dict):
         raise InputError("a scenario must be a JSON object")
+    _only_fields(d, SCENARIO_FIELDS, "scenario")
     try:
         model = ModelKind(d["model"])
     except (KeyError, TypeError, ValueError):
         raise InputError("field 'model' must be one of TWC, THC, MAC")
-    for key in ("harvests_mJ", "battery_capacity_mJ", "transfer_efficiency",
-                "channel_gain_dB", "noise_power_W"):
+    for key in SCENARIO_FIELDS[1:-1]:  # all but the model and slot_seconds
         if key not in d:
             raise InputError(f"missing required field '{key}'")
     caps = d["battery_capacity_mJ"]
@@ -171,6 +183,7 @@ class SweepSpec:
 def sweep_spec_from_dict(d: dict) -> SweepSpec:
     if not isinstance(d, dict):
         raise InputError("a sweep spec must be a JSON object")
+    _only_fields(d, SWEEP_FIELDS, "sweep spec")
     base = scenario_from_dict(d["base_scenario"])
     try:
         if "values" in d:
@@ -183,7 +196,7 @@ def sweep_spec_from_dict(d: dict) -> SweepSpec:
                 raise InputError(f"sweep range has more than {MAX_SWEEP_POINTS} points")
             values = tuple(np.arange(lo, hi + 0.5 * step, step))
         kwargs = {}
-        for key in ("trials_per_point", "seed", "peak_harvest_node1", "peak_harvest_node2"):
+        for key in SWEEP_FIELDS[-4:]:  # the optional numbers
             if key in d:
                 kwargs[key] = d[key]
         if "modes" in d:
@@ -291,7 +304,7 @@ def emit(obj, fmt, path):
 # verification bundle (CLI `verify`)
 
 
-def verify_scenario(sc: Scenario, grid_points=40):
+def verify_scenario(sc: Scenario, grid_points=DpConfig.grid_points):
     """DP oracle + invariant checks; returns (ok, list of findings)."""
     cfg = DpConfig(grid_points=grid_points)
     findings = []

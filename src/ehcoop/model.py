@@ -296,36 +296,35 @@ def decompose(policy: TransferPolicy, sc: Scenario,
     return DecomposedPolicy(consumed=consumed, immediate=gamma, stored=eps)
 
 
-def check_procrastinating(policy: TransferPolicy, sc: Scenario, tol=FEAS_TOL_MJ) -> bool:
+def check_procrastinating(policy: TransferPolicy, sc: Scenario) -> bool:
     """True iff p_k >= a_j * delta_j every slot (transfers spent on arrival)."""
     alpha = sc.transfer_efficiency
     dt = sc.slot_seconds
     for k in range(2):
         j = 1 - k
-        if np.any(policy.p[k] * dt - alpha[j] * policy.delta[j] < -tol):
+        if np.any(policy.p[k] * dt - alpha[j] * policy.delta[j] < -FEAS_TOL_MJ):
             return False
     return True
 
 
-def check_partially_procrastinating(dp: DecomposedPolicy, sc: Scenario,
-                                    tol=FEAS_TOL_MJ) -> bool:
+def check_partially_procrastinating(dp: DecomposedPolicy, sc: Scenario) -> bool:
     """The three finite-battery conditions: procrastination of the immediate
     component, one-directional immediate transfers, and stored transfers only
     out of a full battery."""
     policy = recover_transmit_powers(dp, sc)
-    if not check_procrastinating(TransferPolicy(policy.p, dp.immediate), sc, tol):
+    if not check_procrastinating(TransferPolicy(policy.p, dp.immediate), sc):
         return False
-    if np.any(np.minimum(dp.immediate[0], dp.immediate[1]) > tol):
+    if np.any(np.minimum(dp.immediate[0], dp.immediate[1]) > FEAS_TOL_MJ):
         return False
     trace = battery_trace(policy, sc)
     cap = sc.battery_capacity
     for k in range(2):
         if math.isinf(cap[k]):
-            if np.any(dp.stored[k] > tol):
+            if np.any(dp.stored[k] > FEAS_TOL_MJ):
                 return False
         else:
             headroom = cap[k] - trace.state[k]
-            if np.any((dp.stored[k] > tol) & (headroom > tol)):
+            if np.any((dp.stored[k] > FEAS_TOL_MJ) & (headroom > FEAS_TOL_MJ)):
                 return False
     return True
 

@@ -2,8 +2,8 @@
 
 The inner problem of the decomposition: for fixed consumed powers
 (pb1, pb2) in a single slot, find the transfer that maximizes the slot
-rate, the resulting rate, and the marginal water levels.  The levels are
-exact: piecewise affine in a node's own consumed power (level_pieces).
+rate (slot_transfer), and the marginal water levels: exact, piecewise
+affine in a node's own consumed power (level_pieces), read through SlotLevel.
 
 All functions take consumed powers in mW (equivalently mJ for unit slots)
 and read effective noises and efficiencies from the Scenario, as Python
@@ -85,20 +85,6 @@ def _constants(sc):
     return (*sc.effective_noise_mw.tolist(), *sc.transfer_efficiency.tolist())
 
 
-def twc_transfer(pb1, pb2, sc: Scenario) -> SlotTransfer:
-    """Two-way channel: the five-regime transfer of _twc_split."""
-    _check_powers(pb1, pb2)
-    d1, d2, regime = _twc_split(pb1, pb2, *_constants(sc))
-    return SlotTransfer((d1, d2), regime, slot_rate(ModelKind.TWC, sc)(pb1, pb2))
-
-
-def thc_transfer(pb1, pb2, sc: Scenario) -> SlotTransfer:
-    """Two-hop channel: transfer equalizes the two received powers."""
-    _check_powers(pb1, pb2)
-    d1, d2, regime = _thc_split(pb1, pb2, *_constants(sc))
-    return SlotTransfer((d1, d2), regime, slot_rate(ModelKind.THC, sc)(pb1, pb2))
-
-
 def mac_sends(sc: Scenario) -> tuple:
     """Whether each user transfers its whole power; a channel constant.
 
@@ -122,22 +108,20 @@ def mac_gains(sc: Scenario) -> tuple:
     return max(a1 * c2, c1), max(a2 * c1, c2)
 
 
-def mac_transfer(pb1, pb2, sc: Scenario) -> SlotTransfer:
-    """Multiple access channel: a linear program solved at a corner."""
-    _check_powers(pb1, pb2)
-    send1, send2 = mac_sends(sc)
-    d1 = pb1 if send1 else 0.0
-    d2 = pb2 if send2 else 0.0
-    regime = Regime.FULL_1 if d1 > 0 else Regime.FULL_2 if d2 > 0 else Regime.NO_TRANSFER
-    return SlotTransfer((d1, d2), regime, slot_rate(ModelKind.MAC, sc)(pb1, pb2))
-
-
 def slot_transfer(model_kind, pb1, pb2, sc: Scenario) -> SlotTransfer:
+    """The optimal transfer within one slot: the TWC's five regimes
+    (_twc_split), the THC's equalized received powers (_thc_split) or the
+    MAC's corner of a linear program (mac_sends), with slot_rate's rate."""
+    _check_powers(pb1, pb2)
     if model_kind is ModelKind.TWC:
-        return twc_transfer(pb1, pb2, sc)
-    if model_kind is ModelKind.THC:
-        return thc_transfer(pb1, pb2, sc)
-    return mac_transfer(pb1, pb2, sc)
+        d1, d2, regime = _twc_split(pb1, pb2, *_constants(sc))
+    elif model_kind is ModelKind.THC:
+        d1, d2, regime = _thc_split(pb1, pb2, *_constants(sc))
+    else:
+        send1, send2 = mac_sends(sc)
+        d1, d2 = (pb1 if send1 else 0.0), (pb2 if send2 else 0.0)
+        regime = Regime.FULL_1 if d1 > 0 else Regime.FULL_2 if d2 > 0 else Regime.NO_TRANSFER
+    return SlotTransfer((d1, d2), regime, slot_rate(model_kind, sc)(pb1, pb2))
 
 
 def slot_rate(model_kind, sc: Scenario):
@@ -208,7 +192,7 @@ def rate_grid(model_kind, pb1, pb2, sc: Scenario) -> np.ndarray:
                  np.log(0.5 * ((n2 + y) + (n1 + x) / a2) * math.sqrt(a2 / (n1 * n2)))],
                 0.5 * np.log1p(x / n1) + 0.5 * np.log1p(y / n2))
     if model_kind is ModelKind.THC:
-        num = n2 * x - n1 * y        # w1 * pb1 - w2 * pb2, as in thc_transfer
+        num = n2 * x - n1 * y        # w1 * pb1 - w2 * pb2, as in _thc_split
         d1 = np.where(num > BOUNDARY_TOL, num / (a1 * n1 + n2), 0.0) if a1 > 0 else 0.0
         d2 = np.where(num < -BOUNDARY_TOL, -num / (a2 * n2 + n1), 0.0) if a2 > 0 else 0.0
     else:
@@ -269,14 +253,55 @@ def level_pieces(model_kind, k, q, sc: Scenario) -> tuple:
     return ((0.0, 1.0, (1.0 + g[1 - ki] * q) / g[ki]),)
 
 
-def level_at(pieces, x) -> float:
-    """Evaluate level pieces at own consumed power x."""
-    _, slope, icpt = pieces[0]
-    for start, s, c in pieces[1:]:
-        if x < start:
-            break
-        slope, icpt = s, c
-    return slope * x + icpt
+class SlotLevel:
+    """One node's water level in one slot against own consumed power, from
+    level_pieces: strictly increasing with jumps, flat past the start of an
+    intercept-inf piece.  Rows are (start, slope, intercept, end, level at
+    start); `cap` is the most power the slot can use; `knots` are the sorted
+    distinct levels where inv changes slope: each finite piece's value at
+    its start and its left limit at its end."""
+
+    __slots__ = ("rows", "cap", "knots")
+
+    def __init__(self, pieces):
+        self.rows, knots = [], set()
+        for n, (start, slope, icpt) in enumerate(pieces, 1):
+            end = pieces[n][0] if n < len(pieces) else math.inf
+            low = slope * start + icpt
+            self.rows.append((start, slope, icpt, end, low))
+            if math.isfinite(icpt):
+                knots.update((low, slope * end + icpt))
+        self.cap = start if math.isinf(icpt) else math.inf  # from the last piece
+        self.knots = sorted([x for x in knots if math.isfinite(x)])
+
+    def at(self, x):
+        """The level at own consumed power x, on the last piece that starts at
+        or before x."""
+        _, slope, icpt, _, _ = next((r for r in reversed(self.rows) if r[0] <= x), self.rows[0])
+        return slope * x + icpt
+
+    def limits(self, x):
+        """Admissible level interval (lower, upper) at x: the left and right
+        limits at a jump (the two-hop kink), where x within 1e-9 relative of a
+        piece start counts as on it; elsewhere the level twice."""
+        for (_, s_left, c_left, _, _), (start, s_right, c_right, _, _) in zip(
+                self.rows, self.rows[1:]):
+            if abs(x - start) <= 1e-9 * max(1.0, x):
+                left, right = s_left * x + c_left, s_right * x + c_right
+                return min(left, right), max(left, right)
+        v = self.at(x)
+        return v, v
+
+    def inv(self, target):
+        """Largest p with level(p) <= target: solve the piece that contains
+        the target, or return the piece start when the target falls in a
+        jump."""
+        for start, slope, icpt, end, low in self.rows:
+            if target <= low:
+                return start
+            p = max((target - icpt) / slope, start)  # monotone despite rounding
+            if p < end:
+                return p
 
 
 def water_level(model_kind, k, pb1, pb2, sc: Scenario) -> float:
@@ -287,4 +312,4 @@ def water_level(model_kind, k, pb1, pb2, sc: Scenario) -> float:
     """
     _check_powers(pb1, pb2)
     own, other = (pb1, pb2) if k == 1 else (pb2, pb1)
-    return level_at(level_pieces(model_kind, k, other, sc), own)
+    return SlotLevel(level_pieces(model_kind, k, other, sc)).at(own)

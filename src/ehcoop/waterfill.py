@@ -77,46 +77,12 @@ class SolveReport:
 
 
 # ---------------------------------------------------------------------------
-# per-slot level functions and their inversion
-
-
-class _SlotLevel:
-    """Water level of one node in one slot as a function of own consumed
-    power, from its affine pieces (start, slope, intercept): strictly
-    increasing with jumps, and flat past the start of an intercept-inf piece.
-    Each piece is kept as a row (start, slope, intercept, end, level at
-    start).  `cap` is the most power the slot can use; `knots` are the sorted
-    distinct levels where inv changes slope (each finite piece's value at its
-    start and its left limit at its end), and `fills` is inv at each knot."""
-
-    __slots__ = ("rows", "cap", "knots", "fills")
-
-    def __init__(self, pieces):
-        self.rows, knots = [], set()
-        for n, (start, slope, icpt) in enumerate(pieces, 1):
-            end = pieces[n][0] if n < len(pieces) else math.inf
-            low = slope * start + icpt
-            self.rows.append((start, slope, icpt, end, low))
-            if math.isfinite(icpt):
-                knots.update((low, slope * end + icpt))
-        self.cap = start if math.isinf(icpt) else math.inf  # from the last piece
-        self.knots = sorted([x for x in knots if math.isfinite(x)])
-        self.fills = [self.inv(x) for x in self.knots]
-
-    def inv(self, target):
-        """Largest p with level(p) <= target: solve the piece that contains
-        the target, or return the piece start when the target falls in a
-        jump."""
-        for start, slope, icpt, end, low in self.rows:
-            if target <= low:
-                return start
-            p = max((target - icpt) / slope, start)  # monotone despite rounding
-            if p < end:
-                return p
+# single-node directional water-filling over each slot's transfer.SlotLevel:
+# a taut string for both battery kinds and for the MAC staircase
 
 
 def _slot_levels(model_kind, k, other_powers, sc):
-    return [_SlotLevel(transfer.level_pieces(model_kind, k, q, sc))
+    return [transfer.SlotLevel(transfer.level_pieces(model_kind, k, q, sc))
             for q in np.asarray(other_powers, dtype=float).tolist()]
 
 
@@ -125,21 +91,16 @@ def _relevel(levels, model_kind, k, other_powers, slots, sc):
     same list _slot_levels would build when only those slots' powers moved."""
     out = list(levels)
     for i in slots:
-        out[i] = _SlotLevel(transfer.level_pieces(model_kind, k, float(other_powers[i]), sc))
+        out[i] = transfer.SlotLevel(
+            transfer.level_pieces(model_kind, k, float(other_powers[i]), sc))
     return out
-
-
-# ---------------------------------------------------------------------------
-# single-node directional water-filling: a taut string for both battery
-# kinds and for the MAC staircase
 
 
 class _Pool:
     """Slots held at one common water level, solved for any number of
     budgets, and grown one slot at a time by `add`.  Its knots are kept
     sorted, and each knot's total inverse is extended over the slots added
-    since, in slot order, only when a solve reads it; a one-slot pool reads
-    its level's knots and fills."""
+    since, in slot order, only when a solve reads it."""
 
     __slots__ = ("levels", "caps", "cap_total", "knots", "invs", "totals")
 
@@ -188,13 +149,9 @@ class _Pool:
         # slots all flat from zero have no knots and take nothing
         if cap_total < budget - ENERGY_TOL or cap_total == 0:
             return math.inf, (budget - cap_total) / len(levels)
-        if len(levels) == 1:
-            knots, fills = levels[0].knots, levels[0].fills
-            i, total = bisect.bisect_left(fills, budget), fills.__getitem__
-        else:
-            knots, total = self.knots, self._total
-            # the probes of bisecting the knots by their totals
-            i = bisect.bisect_left(range(len(knots)), budget, key=total)
+        knots, total = self.knots, self._total
+        # the probes of bisecting the knots by their totals
+        i = bisect.bisect_left(range(len(knots)), budget, key=total)
         if i < len(knots):
             lo, hi = knots[i - 1], knots[i]
             f_lo, f_hi = total(i - 1), total(i)
@@ -225,7 +182,7 @@ def _dwf_bounded(arrivals, capacity, levels):
     above full), ending on U: every arrival is consumed.  An infinite
     capacity puts L at -inf before the last slot.  From the last
     pivot, the segments to U and to L are ranked by the pool level that
-    fills them (a slope, when each slot's level is its power); the string
+    absorbs them (a slope, when each slot's level is its power); the string
     bends on the lowest segment to U once a segment to L must lie above it
     (the battery empties there, and the level rises), or on the highest
     segment to L once a segment to U must lie below it (the battery is full,
@@ -270,39 +227,15 @@ def _dwf_bounded(arrivals, capacity, levels):
 # certificates
 
 
-def _level_interval(model_kind, ki, pb1, pb2, ssc):
-    """Admissible water-level interval for node ki at one slot.
-
-    A point except at a jump of the level pieces (the two-hop kink), where
-    the level is set-valued between the left and right limits.  A power
-    within 1e-9 relative of a piece start counts as on it.
-    """
-    pb = (pb1, pb2)
-    x = pb[ki]
-    pieces = transfer.level_pieces(model_kind, ki + 1, pb[1 - ki], ssc)
-    for (_, s_left, c_left), (start, s_right, c_right) in zip(pieces, pieces[1:]):
-        if abs(x - start) <= 1e-9 * max(1.0, x):
-            left, right = s_left * x + c_left, s_right * x + c_right
-            return min(left, right), max(left, right)
-    v = transfer.level_at(pieces, x)
-    return v, v
-
-
-def _node_level_residual(model_kind, ki, pb, ssc):
-    """Max relative violation of the directional-level certificate for one
-    node: a non-decreasing level selection must exist, with increases only
-    after empty-battery slots and decreases only after full-battery slots."""
-    n = pb.shape[1]
+def _node_level_residual(levels, ki, pb, ssc):
+    """Max relative violation of node ki's directional-level certificate over
+    its slot `levels`: a non-decreasing level selection must exist, rising
+    only after empty-battery slots and falling only after full-battery ones."""
     cap = ssc.battery_capacity[ki]
     state = np.cumsum(ssc.harvests[ki] - pb[ki])
-    pinned = []
-    for i in range(n):
-        if pb[ki][i] <= 1e-12:
-            continue
-        lo, hi = _level_interval(model_kind, ki, pb[0][i], pb[1][i], ssc)
-        if math.isinf(lo):  # flat direction: no marginal information
-            continue
-        pinned.append((i, lo, hi))
+    # the busy slots' level intervals; flat directions carry no marginal information
+    pinned = [(i, *levels[i].limits(x)) for i, x in enumerate(pb[ki]) if x > 1e-12]
+    pinned = [(i, lo, hi) for i, lo, hi in pinned if not math.isinf(lo)]
     # propagate the interval of feasible level selections forward; empty
     # slots release the lower monotonicity bound, full slots the upper one
     worst = 0.0
@@ -326,15 +259,6 @@ def _node_level_residual(model_kind, ki, pb, ssc):
     return worst
 
 
-def _levels_at(model_kind, pb, ssc):
-    n = pb.shape[1]
-    out = np.zeros((2, n))
-    for i in range(n):
-        for k in (1, 2):
-            out[k - 1, i] = transfer.water_level(model_kind, k, pb[0, i], pb[1, i], ssc)
-    return out
-
-
 def _capacity_objective(model_kind, pb, ssc):
     rate = transfer.slot_rate(model_kind, ssc)
     total = 0.0
@@ -354,8 +278,10 @@ def _build_report(sc, eff, ssc, pb, mode, iterations, converged):
     dp = DecomposedPolicy(consumed=pb / dt, immediate=gamma, stored=np.zeros((2, n)))
     transmit = recover_transmit_powers(dp, eff)
     obj = policy_objective(transmit, eff)
-    levels = _levels_at(ssc.model_kind, pb, ssc)
-    residual = max(_node_level_residual(ssc.model_kind, ki, pb, ssc) for ki in range(2))
+    slot_levels = [_slot_levels(ssc.model_kind, ki + 1, pb[1 - ki], ssc) for ki in range(2)]
+    levels = np.array([[lev.at(x) for lev, x in zip(slot_levels[ki], pb[ki].tolist())]
+                       for ki in range(2)])
+    residual = max(_node_level_residual(slot_levels[ki], ki, pb, ssc) for ki in range(2))
     return SolveReport(policy=dp, transmit=transmit, objective_nats=obj,
                        levels=levels, bcd_iterations=iterations,
                        level_residual=residual, mode=mode, converged=converged)
@@ -559,7 +485,7 @@ def staircase(aggregate, capacity) -> np.ndarray:
         raise InputError("aggregate arrivals must be non-negative")
     if not capacity > 0:
         raise InputError(f"capacity must be positive (or INFINITE), got {capacity}")
-    return _dwf_bounded(agg, capacity, [_SlotLevel(((0.0, 1.0, 0.0),))] * len(agg))
+    return _dwf_bounded(agg, capacity, [transfer.SlotLevel(((0.0, 1.0, 0.0),))] * len(agg))
 
 
 def mac_solve(sc: Scenario, mode: CooperationMode = CooperationMode.BIDIRECTIONAL) -> SolveReport:

@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from ehcoop.model import INFINITE, ModelKind, Scenario
-from ehcoop.transfer import mac_sends, twc_transfer
+from ehcoop.transfer import mac_sends, slot_transfer
 
 
 def make_scenario(model=ModelKind.TWC, harvests=((2.0, 5.0, 0.0, 0.0), (0.0, 4.0, 0.0, 7.0)),
@@ -50,7 +50,7 @@ def level_rate(model_kind, pb1, pb2, sc):
     n1, n2 = sc.effective_noise_mw
     a1, a2 = sc.transfer_efficiency
     if model_kind is ModelKind.TWC:
-        return twc_transfer(pb1, pb2, sc).rate_nats
+        return slot_transfer(ModelKind.TWC, pb1, pb2, sc).rate_nats
     if model_kind is ModelKind.THC:
         t1 = (pb1 + a2 * pb2) / (n1 + a2 * n2)
         t2 = (a1 * pb1 + pb2) / (n2 + a1 * n1)

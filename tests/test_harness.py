@@ -219,6 +219,24 @@ class TestCli:
         assert err.startswith("error:") and "Traceback" not in err
         assert "must be numeric" in err
 
+    def test_misspelled_scenario_field_is_input_error(self, tmp_path, capsys):
+        # a misspelled optional field would otherwise solve with its default
+        d = dict(VALID_SCENARIO, harvests_mJ=[[2, 5], [0, 4]], slot_second=10.0)
+        cfg = write_json(tmp_path, "sc.json", d)
+        assert cli.main(["solve", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: unknown scenario field(s) 'slot_second'\n"
+        assert captured.out == ""
+
+    def test_misspelled_sweep_field_is_input_error(self, tmp_path, capsys):
+        sweep = {"base_scenario": VALID_SCENARIO, "swept_parameter": "alpha1",
+                 "values": [0.5], "trials": 1, "mode": ["bidirectional"]}
+        cfg = write_json(tmp_path, "sweep.json", sweep)
+        out = tmp_path / "o.csv"
+        assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: unknown sweep spec field(s) 'trials', 'mode'\n"
+        assert not out.exists()
+
     def test_sweep_range_too_long_is_input_error(self, tmp_path, capsys):
         sweep = {"base_scenario": VALID_SCENARIO, "swept_parameter": "alpha1",
                  "lo": 0.0, "hi": 1.0, "step": 1e-13}

@@ -5,16 +5,16 @@ import pytest
 
 from conftest import level_rate, make_scenario, random_scenario
 from ehcoop.model import InputError, ModelKind, rate
+from ehcoop import transfer
 from ehcoop.transfer import (
     Regime,
+    SlotLevel,
+    SlotTransfer,
     applied_rate,
     level_pieces,
-    mac_transfer,
     rate_grid,
     slot_rate,
     slot_transfer,
-    thc_transfer,
-    twc_transfer,
     water_level,
 )
 
@@ -29,31 +29,31 @@ def rand_draw(rng, model):
 
 class TestTwcTransfer:
     def test_symmetric_no_transfer(self):
-        st = twc_transfer(1.0, 1.0, make_scenario())
+        st = slot_transfer(ModelKind.TWC, 1.0, 1.0, make_scenario())
         assert st.delta == (0.0, 0.0)
         assert st.regime is Regime.NO_TRANSFER
 
     def test_interior_candidate(self):
-        st = twc_transfer(2.0, 0.0, make_scenario())
+        st = slot_transfer(ModelKind.TWC, 2.0, 0.0, make_scenario())
         assert st.delta[0] == pytest.approx(0.5, abs=1e-9)
         assert st.delta[1] == 0.0
         assert st.regime is Regime.INTERIOR_1
         assert st.rate_nats == pytest.approx(0.5697171415941824, abs=1e-10)
 
     def test_reverse_direction(self):
-        st = twc_transfer(0.0, 7.0, make_scenario())
+        st = slot_transfer(ModelKind.TWC, 0.0, 7.0, make_scenario())
         assert st.delta == pytest.approx((0.0, 3.0), abs=1e-9)
 
     def test_negative_power_rejected(self):
         from ehcoop.model import InputError
         with pytest.raises(InputError):
-            twc_transfer(-1.0, 0.0, make_scenario())
+            slot_transfer(ModelKind.TWC, -1.0, 0.0, make_scenario())
 
     def test_unidirectional_and_bounded(self):
         rng = np.random.default_rng(11)
         for _ in range(300):
             sc, pb1, pb2 = rand_draw(rng, ModelKind.TWC)
-            st = twc_transfer(pb1, pb2, sc)
+            st = slot_transfer(ModelKind.TWC, pb1, pb2, sc)
             assert st.delta[0] * st.delta[1] == 0.0
             assert 0.0 <= st.delta[0] <= pb1 + 1e-12
             assert 0.0 <= st.delta[1] <= pb2 + 1e-12
@@ -62,7 +62,7 @@ class TestTwcTransfer:
         rng = np.random.default_rng(13)
         for _ in range(300):
             sc, pb1, pb2 = rand_draw(rng, ModelKind.TWC)
-            st = twc_transfer(pb1, pb2, sc)
+            st = slot_transfer(ModelKind.TWC, pb1, pb2, sc)
             direct = applied_rate(ModelKind.TWC, pb1, pb2, st.delta, sc)
             assert st.rate_nats == pytest.approx(direct, abs=1e-12)
             assert slot_rate(ModelKind.TWC, sc)(pb1, pb2) == st.rate_nats
@@ -71,7 +71,7 @@ class TestTwcTransfer:
 class TestThcTransfer:
     def test_equalization(self):
         sc = make_scenario(model=ModelKind.THC, alpha=(0.5, 0.0))
-        st = thc_transfer(4.0, 0.0, sc)
+        st = slot_transfer(ModelKind.THC, 4.0, 0.0, sc)
         assert st.delta[0] == pytest.approx(8.0 / 3.0, abs=1e-9)
         # post-transfer source power equals relay received power
         source = 4.0 - st.delta[0]
@@ -79,19 +79,19 @@ class TestThcTransfer:
         assert source == pytest.approx(relay, abs=1e-9)
 
     def test_balanced_no_transfer(self):
-        st = thc_transfer(3.0, 3.0, make_scenario(model=ModelKind.THC))
+        st = slot_transfer(ModelKind.THC, 3.0, 3.0, make_scenario(model=ModelKind.THC))
         assert st.delta == (0.0, 0.0)
 
     def test_reverse_direction(self):
         sc = make_scenario(model=ModelKind.THC, alpha=(0.0, 0.5))
-        st = thc_transfer(0.0, 3.0, sc)
+        st = slot_transfer(ModelKind.THC, 0.0, 3.0, sc)
         assert st.delta[1] == pytest.approx(2.0, abs=1e-9)
 
     def test_unidirectional(self):
         rng = np.random.default_rng(17)
         for _ in range(300):
             sc, pb1, pb2 = rand_draw(rng, ModelKind.THC)
-            st = thc_transfer(pb1, pb2, sc)
+            st = slot_transfer(ModelKind.THC, pb1, pb2, sc)
             assert st.delta[0] * st.delta[1] == 0.0
             assert st.delta[0] <= pb1 + 1e-12 and st.delta[1] <= pb2 + 1e-12
 
@@ -99,25 +99,25 @@ class TestThcTransfer:
 class TestMacTransfer:
     def test_weak_user_sends_everything(self):
         sc = make_scenario(model=ModelKind.MAC, gain_db=(-100.0, -110.0), alpha=(0.5, 0.5))
-        st = mac_transfer(1.0, 3.0, sc)
+        st = slot_transfer(ModelKind.MAC, 1.0, 3.0, sc)
         assert st.delta == (0.0, 3.0)
         assert st.regime is Regime.FULL_2
 
     def test_equal_channels_low_alpha_keeps_power(self):
         sc = make_scenario(model=ModelKind.MAC, alpha=(0.1, 0.1))
-        st = mac_transfer(2.0, 2.0, sc)
+        st = slot_transfer(ModelKind.MAC, 2.0, 2.0, sc)
         assert st.delta == (0.0, 0.0)
 
     def test_tie_breaks_to_no_transfer(self):
         sc = make_scenario(model=ModelKind.MAC, alpha=(0.5, 1.0))
-        st = mac_transfer(2.0, 2.0, sc)
+        st = slot_transfer(ModelKind.MAC, 2.0, 2.0, sc)
         assert st.delta[1] == 0.0
 
     def test_direction_is_slot_independent(self):
         sc = make_scenario(model=ModelKind.MAC, gain_db=(-100.0, -110.0), alpha=(0.5, 0.5))
         for pb in (0.1, 1.0, 10.0):
-            assert mac_transfer(1.0, pb, sc).delta[0] == 0.0
-            assert mac_transfer(1.0, pb, sc).delta[1] == pb
+            assert slot_transfer(ModelKind.MAC, 1.0, pb, sc).delta[0] == 0.0
+            assert slot_transfer(ModelKind.MAC, 1.0, pb, sc).delta[1] == pb
 
 
 class TestWaterLevel:
@@ -275,3 +275,94 @@ class TestRateGrid:
                  + [a[k] * (n[k] - p) - n[1 - k] for p in own])
         assert min(other) >= 0
         self.assert_matches_scalar(ModelKind.TWC, *((own, other) if k == 0 else (other, own)), sc)
+
+
+def level_at_before(pieces, x):
+    """A level evaluated from its pieces as it was before SlotLevel.at."""
+    _, slope, icpt = pieces[0]
+    for start, s, c in pieces[1:]:
+        if x < start:
+            break
+        slope, icpt = s, c
+    return slope * x + icpt
+
+
+def level_interval_before(model_kind, ki, pb1, pb2, sc):
+    """A node's admissible level interval as it was before SlotLevel.limits."""
+    pb = (pb1, pb2)
+    x = pb[ki]
+    pieces = level_pieces(model_kind, ki + 1, pb[1 - ki], sc)
+    for (_, s_left, c_left), (start, s_right, c_right) in zip(pieces, pieces[1:]):
+        if abs(x - start) <= 1e-9 * max(1.0, x):
+            left, right = s_left * x + c_left, s_right * x + c_right
+            return min(left, right), max(left, right)
+    v = level_at_before(pieces, x)
+    return v, v
+
+
+class TestSlotLevel:
+    @pytest.mark.parametrize("model", list(ModelKind))
+    def test_at_and_limits_equal_the_piece_scans_bit_for_bit(self, model):
+        # random powers, every piece start, and starts moved by 1e-10 (inside
+        # the 1e-9 window of limits) and by 1e-8 (outside it)
+        rng = np.random.default_rng(307 + list(ModelKind).index(model))
+        split = 0
+        for draw in range(240):
+            sc, q, _ = rand_draw(rng, model)
+            pattern = ((1, 1), (0, 1), (1, 0), (0, 0))[draw % 4]
+            sc = sc.with_efficiency(*(sc.transfer_efficiency * pattern))
+            q = 0.0 if draw % 5 == 0 else q
+            k = 1 + (draw // 4) % 2
+            pieces = level_pieces(model, k, q, sc)
+            lev = SlotLevel(pieces)
+            starts = [piece[0] for piece in pieces]
+            xs = rng.uniform(0, 8, size=8).tolist() + starts
+            xs += [x * f for x in starts for f in (1 - 1e-8, 1 - 1e-10, 1 + 1e-10, 1 + 1e-8)]
+            for x in xs:
+                assert lev.at(x) == level_at_before(pieces, x)
+                limits = level_interval_before(model, k - 1, *((x, q) if k == 1 else (q, x)), sc)
+                assert lev.limits(x) == limits
+                split += limits[0] != limits[1]
+        # the window branch runs wherever there is more than one piece
+        assert (split > 0) == (model is not ModelKind.MAC)
+
+
+def twc_transfer_before(pb1, pb2, sc):
+    transfer._check_powers(pb1, pb2)
+    d1, d2, regime = transfer._twc_split(pb1, pb2, *transfer._constants(sc))
+    return SlotTransfer((d1, d2), regime, slot_rate(ModelKind.TWC, sc)(pb1, pb2))
+
+
+def thc_transfer_before(pb1, pb2, sc):
+    transfer._check_powers(pb1, pb2)
+    d1, d2, regime = transfer._thc_split(pb1, pb2, *transfer._constants(sc))
+    return SlotTransfer((d1, d2), regime, slot_rate(ModelKind.THC, sc)(pb1, pb2))
+
+
+def mac_transfer_before(pb1, pb2, sc):
+    transfer._check_powers(pb1, pb2)
+    send1, send2 = transfer.mac_sends(sc)
+    d1 = pb1 if send1 else 0.0
+    d2 = pb2 if send2 else 0.0
+    regime = Regime.FULL_1 if d1 > 0 else Regime.FULL_2 if d2 > 0 else Regime.NO_TRANSFER
+    return SlotTransfer((d1, d2), regime, slot_rate(ModelKind.MAC, sc)(pb1, pb2))
+
+
+class TestSlotTransfer:
+    @pytest.mark.parametrize("model, before", [
+        (ModelKind.TWC, twc_transfer_before), (ModelKind.THC, thc_transfer_before),
+        (ModelKind.MAC, mac_transfer_before)])
+    def test_equals_the_per_model_transfers_bit_for_bit(self, model, before):
+        # the one entry point against the per-model functions it replaced
+        rng = np.random.default_rng(311 + list(ModelKind).index(model))
+        regimes = set()
+        for draw in range(1200):
+            sc, pb1, pb2 = rand_draw(rng, model)
+            pattern = ((1, 1), (0, 1), (1, 0), (0, 0))[draw % 4]
+            sc = sc.with_efficiency(*(sc.transfer_efficiency * pattern))
+            pb1 = 0.0 if draw % 7 == 0 else pb1
+            pb2 = 0.0 if draw % 11 == 0 else pb2
+            st = slot_transfer(model, pb1, pb2, sc)
+            assert st == before(pb1, pb2, sc)
+            regimes.add(st.regime)
+        assert len(regimes) == {ModelKind.TWC: 5, ModelKind.THC: 3, ModelKind.MAC: 3}[model]

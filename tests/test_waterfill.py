@@ -1,4 +1,5 @@
 import bisect
+import dataclasses
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from ehcoop.model import (
     objective,
 )
 from ehcoop import transfer, waterfill
-from ehcoop.transfer import level_at, level_pieces, slot_transfer
+from ehcoop.transfer import SlotLevel, level_pieces, slot_transfer
 from ehcoop.waterfill import (
     CooperationMode,
     _capacity_objective,
@@ -99,10 +100,10 @@ def assert_directional_water_filling(k, other, sc):
             continue
         # the lowest level selection that is common to the pool and not
         # below the previous pool's
-        level = max([prev] + [level_at(pieces[i], p[i] * (1 - 1e-9)) for i in busy])
-        assert level <= min(level_at(pieces[i], p[i] * (1 + 1e-9)) for i in busy) * (1 + 1e-9)
+        level = max([prev] + [SlotLevel(pieces[i]).at(p[i] * (1 - 1e-9)) for i in busy])
+        assert level <= min(SlotLevel(pieces[i]).at(p[i] * (1 + 1e-9)) for i in busy) * (1 + 1e-9)
         for i in set(pool) - set(busy):
-            assert level_at(pieces[i], 0.0) >= level * (1 - 1e-9)
+            assert SlotLevel(pieces[i]).at(0.0) >= level * (1 - 1e-9)
         prev = level
 
 
@@ -305,19 +306,17 @@ class TestSolvePool:
         rng = np.random.default_rng(211 + list(ModelKind).index(model))
         for lev in random_levels(rng, model, 200):
             assert lev.knots == sorted(set(lev.knots))
-            assert len(lev.fills) == len(lev.knots)
-            assert all(f == lev.inv(x) for x, f in zip(lev.knots, lev.fills))
 
     @pytest.mark.parametrize("model", list(ModelKind))
     def test_pools_equal_the_generic_pool_bit_for_bit(self, model):
-        # one-slot pools read their level's fills, and larger pools share
-        # their knot totals across budgets; neither may change a bit
+        # pools share their knot totals across budgets, which may not change
+        # a bit
         rng = np.random.default_rng(223 + list(ModelKind).index(model))
         for _ in range(60):
             levels = random_levels(rng, model, int(rng.integers(1, 6)))
             pool = _Pool(levels)
             budgets = rng.uniform(0, 1.5, size=6).tolist() + [0.0, 1e-12]
-            budgets += [f for lev in levels for f in lev.fills]  # on a knot
+            budgets += [lev.inv(x) for lev in levels for x in lev.knots]  # on a knot
             for budget in budgets:
                 assert pool_result(pool, budget) == generic_segment(levels, budget)
 
@@ -333,7 +332,7 @@ class TestSolvePool:
                 grown.add(lev)
                 fresh = _Pool(levels[:k])
                 budgets = rng.uniform(0, 0.4 * k, size=3).tolist()
-                budgets += [f for lev in levels[:k] for f in lev.fills][:4]
+                budgets += [lev.inv(x) for lev in levels[:k] for x in lev.knots][:4]
                 for budget in budgets:
                     assert pool_result(grown, budget) == pool_result(fresh, budget)
                 assert grown.knots == fresh.knots
@@ -746,3 +745,25 @@ class TestSolveDispatch:
         sc = make_scenario()
         rep = solve(sc, CooperationMode.NO_COOPERATION)
         assert np.all(rep.transmit.delta == 0)
+
+
+class TestLabelSwap:
+    MIRRORED = {CooperationMode.BIDIRECTIONAL: CooperationMode.BIDIRECTIONAL,
+                CooperationMode.UNI_1_TO_2: CooperationMode.UNI_2_TO_1,
+                CooperationMode.UNI_2_TO_1: CooperationMode.UNI_1_TO_2,
+                CooperationMode.NO_COOPERATION: CooperationMode.NO_COOPERATION}
+
+    @pytest.mark.parametrize("model", list(ModelKind))
+    @pytest.mark.parametrize("finite", [False, True])
+    def test_swapping_the_node_labels_keeps_the_objective(self, model, finite):
+        rng = np.random.default_rng(401 + 2 * list(ModelKind).index(model) + finite)
+        for _ in range(6):
+            sc = random_scenario(rng, model, finite)
+            swapped = dataclasses.replace(
+                sc, harvests=sc.harvests[::-1], battery_capacity=sc.battery_capacity[::-1],
+                transfer_efficiency=sc.transfer_efficiency[::-1],
+                channel_gain_db=sc.channel_gain_db[::-1], noise_power_w=sc.noise_power_w[::-1])
+            assert np.array_equal(swapped.effective_noise_mw, sc.effective_noise_mw[::-1])
+            for mode, mirrored in self.MIRRORED.items():
+                assert math.isclose(solve(swapped, mirrored).objective_nats,
+                                    solve(sc, mode).objective_nats, rel_tol=1e-9)
