@@ -142,7 +142,7 @@ def _policy_array(x, n, name):
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransferPolicy:
     """Raw policy: transmit powers p [node, slot] in mW, transfers delta in mJ."""
 
@@ -162,7 +162,7 @@ class TransferPolicy:
         return cls(np.zeros((2, n_slots)), np.zeros((2, n_slots)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecomposedPolicy:
     """Consumed powers and the split of transfers into immediate/stored parts.
 

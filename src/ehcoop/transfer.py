@@ -305,7 +305,10 @@ class SlotLevel:
 
 
 def water_level(model_kind, k, pb1, pb2, sc: Scenario) -> float:
-    """Generalized water level v_k = 1/(dR/dpb_k) for node k in {1,2}.
+    """Generalized water level of node k in {1,2}, with R the slot rate in
+    nats (slot_rate): v_k = 1/(dR/dpb_k) for the TWC, but 1/(2*dR/dpb_k)
+    for the THC and MAC, whose level formulas drop the 1/2 of their rate
+    (the inverse marginal of 2R, which has the same maximizers).
 
     Strictly increasing in own consumed power; +inf where the marginal rate
     is zero (flat directions of the THC min).

@@ -60,7 +60,7 @@ def effective_scenario(sc: Scenario, mode: CooperationMode) -> Scenario:
     return sc.with_efficiency(a1, a2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SolveReport:
     policy: DecomposedPolicy
     transmit: TransferPolicy
@@ -174,7 +174,36 @@ class _Pool:
         return [lev.inv(level) for lev in self.levels[:m]]
 
 
-def _dwf_bounded(arrivals, capacity, levels):
+def _refill(upper, lower, levels, pivots):
+    """The string through the given pivots (start, end, ends_on_upper), one
+    pool per segment, or None unless it is the taut string: every rank is
+    finite, the running consumption stays within [L, U] between pivots,
+    and the level does not fall after an empty-battery pivot nor rise after
+    a full-battery one (the directional certificate, sufficient for the
+    optimum)."""
+    out = []
+    b0 = 0.0
+    prev = None  # (level, ends_on_upper) of the segment before
+    for start, end, on_upper in pivots:
+        pool = _Pool(levels[start:end])
+        b1 = (upper if on_upper else lower)[end - 1]
+        rank = pool.solve(b1 - b0)
+        level = rank[0]
+        if math.isinf(level) or prev is not None and (
+                level < prev[0] if prev[1] else level > prev[0]):
+            return None
+        fill = pool.fill(end - start, rank)
+        run = b0
+        for j, p in enumerate(fill[:-1], start):
+            run += p
+            if not lower[j] <= run <= upper[j]:
+                return None
+        out += fill
+        b0, prev = b1, (level, on_upper)
+    return out
+
+
+def _dwf_bounded(arrivals, capacity, levels, pivots=None):
     """Single-node directional water-filling with a battery of `capacity`.
 
     Cumulative consumption is the taut string between the cumulative
@@ -190,13 +219,26 @@ def _dwf_bounded(arrivals, capacity, levels):
     candidate end, and its segments to U and to L share it; segments are
     ranked by level alone, and only the pivot's powers are filled.  Returns
     the consumed power per slot.
+
+    `pivots`, when given, is a list of (start, end, ends_on_upper) from an
+    earlier solve of the same node.  A non-empty list is refilled at these
+    levels first (_refill) and kept when that passes the certificate;
+    otherwise the scan runs and the list is replaced by its pivots, or
+    emptied when one of its pools is flat-capped.  Where the scan would
+    pick the same pivots, the pools, budgets and fills are the scan's, so
+    the powers are too.
     """
     upper = np.cumsum(arrivals)
     lower = upper - capacity
     lower[-1] = upper[-1]
     upper, lower = upper.tolist(), lower.tolist()
     n = len(upper)
+    if pivots:
+        out = _refill(upper, lower, levels, pivots)
+        if out is not None:
+            return np.array(out)
     out = np.zeros(n)
+    found, flat = [], False
     i0, b0 = 0, 0.0
     while i0 < n:
         hi = lo = None  # (rank, end) of the tightest segment to U, to L
@@ -206,20 +248,24 @@ def _dwf_bounded(arrivals, capacity, levels):
             up = (pool.solve(upper[j - 1] - b0), j)
             down = up if j == n else (pool.solve(lower[j - 1] - b0), j)
             if hi is not None and down[0] > hi[0]:
-                pivot, b0 = hi, upper[hi[1] - 1]
+                (rank, end), on_upper = hi, True
                 break
             if lo is not None and lo[0] > up[0]:
-                pivot, b0 = lo, lower[lo[1] - 1]
+                (rank, end), on_upper = lo, False
                 break
             if hi is None or up[0] < hi[0]:
                 hi = up
             if lo is None or down[0] > lo[0]:
                 lo = down
         else:
-            pivot = up
-        rank, end = pivot
+            (rank, end), on_upper = up, True
         out[i0:end] = pool.fill(end - i0, rank)
-        i0 = end
+        found.append((i0, end, on_upper))
+        flat = flat or math.isinf(rank[0])
+        i0, b0 = end, (upper if on_upper else lower)[end - 1]
+    if pivots is not None:
+        # a flat-capped pool would fail the refill, so its string is not kept
+        pivots[:] = [] if flat else found
     return out
 
 
@@ -292,13 +338,14 @@ def _build_report(sc, eff, ssc, pb, mode, iterations, converged):
 # kinds
 
 
-def _dwf_full(ki, pb, ssc, levels=None):
+def _dwf_full(ki, pb, ssc, levels=None, pivots=None):
     """Re-solve node ki's whole allocation with the other node's held fixed;
     every arrival is consumed by the last slot.  `levels`, when given, are
-    node ki's slot levels for pb's other row."""
+    node ki's slot levels for pb's other row; `pivots`, the node's pivot
+    list that _dwf_bounded refills first and keeps up to date."""
     if levels is None:
         levels = _slot_levels(ssc.model_kind, ki + 1, pb[1 - ki], ssc)
-    pb[ki] = _dwf_bounded(ssc.harvests[ki], ssc.battery_capacity[ki], levels)
+    pb[ki] = _dwf_bounded(ssc.harvests[ki], ssc.battery_capacity[ki], levels, pivots)
 
 
 def _brent_max(f, tmax, xtol, probes):
@@ -398,10 +445,12 @@ def _joint_polish(pb, ssc):
     A forward move (slot i to i+1) is capped by the battery headroom after
     slot i, so with an infinite battery it can take all of slot i.  When it
     does not improve, a backward move (slot i+1 to i) capped by the energy
-    stored after slot i is tried.
+    stored after slot i is tried.  Each re-solved node keeps one pivot
+    list across the probes.
     """
     model = ssc.model_kind
     cap = ssc.battery_capacity.tolist()
+    pivots = ([], [])
 
     def obj(trial):
         return _capacity_objective(model, trial, ssc)
@@ -418,7 +467,8 @@ def _joint_polish(pb, ssc):
                 trial[k, i] -= t
                 trial[k, i + 1] += t
                 _dwf_full(1 - k, trial, ssc,
-                          _relevel(levels, model, 2 - k, trial[k], (i, i + 1), ssc))
+                          _relevel(levels, model, 2 - k, trial[k], (i, i + 1), ssc),
+                          pivots[1 - k])
                 return trial
 
             trial, base = _search_move(base, min(pb[k, i], cap[k] - stored), move, obj)
@@ -435,16 +485,18 @@ def _alternate(sc, mode):
     """Solve the two nodes alternately until a pass moves no consumed power
     by 1e-10 or more; a pass runs up to 8 rounds while the two-hop polish
     still improves.  The polish is not retried within 1e-10 of the last
-    allocation it could not improve."""
+    allocation it could not improve.  Each node keeps one pivot list across
+    passes and rounds."""
     eff = effective_scenario(sc, mode)
     ssc = eff.unit_slot()
     pb = np.array(ssc.harvests, dtype=float)
+    pivots = ([], [])
     stalled = None
     for passes in range(1, MAX_PASSES + 1):
         prev_pb = pb.copy()
         for _ in range(8):
-            _dwf_full(0, pb, ssc)
-            _dwf_full(1, pb, ssc)
+            _dwf_full(0, pb, ssc, None, pivots[0])
+            _dwf_full(1, pb, ssc, None, pivots[1])
             if ssc.model_kind is not ModelKind.THC or (
                     stalled is not None and float(np.max(np.abs(pb - stalled))) < 1e-10):
                 break

@@ -736,6 +736,161 @@ class TestDwfBounded:
             assert value(p) >= -ref.fun - 1e-9
 
 
+def scan_dwf_bounded(arrivals, capacity, levels):
+    """_dwf_bounded before the warm start: the scan from every pivot, and
+    the (start, end, ends_on_upper) pivots it picked, or none when a pool
+    is flat-capped."""
+    upper = np.cumsum(arrivals)
+    lower = upper - capacity
+    lower[-1] = upper[-1]
+    upper, lower = upper.tolist(), lower.tolist()
+    n = len(upper)
+    out = np.zeros(n)
+    pivots, flat = [], False
+    i0, b0 = 0, 0.0
+    while i0 < n:
+        hi = lo = None
+        pool = _Pool()
+        for j in range(i0 + 1, n + 1):
+            pool.add(levels[j - 1])
+            up = (pool.solve(upper[j - 1] - b0), j)
+            down = up if j == n else (pool.solve(lower[j - 1] - b0), j)
+            if hi is not None and down[0] > hi[0]:
+                pivot, on_upper, b0 = hi, True, upper[hi[1] - 1]
+                break
+            if lo is not None and lo[0] > up[0]:
+                pivot, on_upper, b0 = lo, False, lower[lo[1] - 1]
+                break
+            if hi is None or up[0] < hi[0]:
+                hi = up
+            if lo is None or down[0] > lo[0]:
+                lo = down
+        else:
+            pivot, on_upper = up, True
+        rank, end = pivot
+        out[i0:end] = pool.fill(end - i0, rank)
+        pivots.append((i0, end, on_upper))
+        flat = flat or math.isinf(rank[0])
+        i0 = end
+    return out, [] if flat else pivots
+
+
+def refill(arrivals, capacity, levels, pivots):
+    """waterfill._refill on the bounds _dwf_bounded gives it."""
+    upper = np.cumsum(arrivals)
+    lower = upper - capacity
+    lower[-1] = upper[-1]
+    return waterfill._refill(upper.tolist(), lower.tolist(), levels, pivots)
+
+
+def shifted(value):
+    """Slot levels value[i] + x: the staircase level, raised per slot."""
+    return [SlotLevel(((0.0, 1.0, float(c)),)) for c in value]
+
+
+class TestRefill:
+    @pytest.mark.parametrize("model", list(ModelKind))
+    @pytest.mark.parametrize("finite", [False, True])
+    def test_warm_start_matches_the_scan(self, model, finite):
+        # the refill is kept only as the scan's optimum: bit for bit when
+        # the pivots are the scan's, within rounding at a tie between two
+        # pivot lists
+        rng = np.random.default_rng(503 + 2 * list(ModelKind).index(model) + finite)
+        kept = flat = 0
+        for _ in range(150):
+            n = int(rng.integers(1, 9))
+            sc = random_scenario(rng, model)
+            sc = sc.with_efficiency(*(sc.transfer_efficiency * (rng.random(2) < 0.7)))
+            k = int(rng.integers(1, 3))
+            other = rng.uniform(0, 0.3, size=n) * (rng.random(n) < 0.8)
+            arrivals = rng.uniform(0, 0.4, size=n) * (rng.random(n) < 0.8)
+            capacity = rng.uniform(0.05, 1.0) if finite else INFINITE
+            pivots = []
+            out = _dwf_bounded(arrivals, capacity, _slot_levels(model, k, other, sc), pivots)
+            ref, ref_pivots = scan_dwf_bounded(arrivals, capacity,
+                                               _slot_levels(model, k, other, sc))
+            assert np.array_equal(out, ref) and pivots == ref_pivots
+            # the other node's powers move: a little everywhere, by one
+            # polish move between adjacent slots, or redrawn
+            kind = rng.integers(0, 3)
+            if kind == 0:
+                other = other * (1 + 1e-3 * rng.standard_normal(n))
+            elif kind == 1 and n > 1:
+                i = int(rng.integers(0, n - 1))
+                t = rng.uniform(-other[i + 1], other[i])
+                other[i] -= t
+                other[i + 1] += t
+            else:
+                other = rng.uniform(0, 0.3, size=n) * (rng.random(n) < 0.8)
+            levels = _slot_levels(model, k, other, sc)
+            flat += any(math.isfinite(lev.cap) for lev in levels)
+            kept += refill(arrivals, capacity, levels, pivots) is not None
+            out = _dwf_bounded(arrivals, capacity, levels, pivots)
+            ref, ref_pivots = scan_dwf_bounded(arrivals, capacity, levels)
+            if pivots == ref_pivots:
+                assert np.array_equal(out, ref)
+            else:
+                assert np.allclose(out, ref, rtol=0.0, atol=1e-12)
+        assert kept >= 50
+        assert flat > 0 if model is ModelKind.THC else flat == 0
+
+    def test_falls_back_when_a_level_change_moves_a_pivot(self):
+        arrivals = np.array([1.0, 1.0, 1.0])
+        pivots = []
+        _dwf_bounded(arrivals, INFINITE, shifted((0, 0, 0)), pivots)
+        assert pivots == [(0, 3, True)]
+        # raising slot 1's level pushes its share into slots 0 and 2, past
+        # the one arrival by slot 0: the battery now empties there
+        levels = shifted((0, 5, 0))
+        assert refill(arrivals, INFINITE, levels, pivots) is None
+        ref, ref_pivots = scan_dwf_bounded(arrivals, INFINITE, levels)
+        assert np.array_equal(_dwf_bounded(arrivals, INFINITE, levels, pivots), ref)
+        assert pivots == ref_pivots == [(0, 1, True), (1, 3, True)]
+        assert ref.tolist() == [1.0, 0.0, 2.0]
+
+    @pytest.mark.parametrize("arrivals, capacity, pivots", [
+        # running consumption 4/3 above the one arrival by slot 0
+        ((1.0, 0.0, 3.0), INFINITE, [(0, 3, True)]),
+        # the level falls from 3 to 1/2 after the battery empties
+        ((3.0, 0.0, 1.0), INFINITE, [(0, 1, True), (1, 3, True)]),
+        # the level rises from 1 to 3/2 after the battery fills
+        ((4.0, 0.0, 0.0), 3.0, [(0, 1, False), (1, 3, True)]),
+    ])
+    def test_rejects_pivots_that_break_the_certificate(self, arrivals, capacity, pivots):
+        levels = shifted((0, 0, 0))
+        assert refill(np.array(arrivals), capacity, levels, pivots) is None
+        given = list(pivots)
+        ref, ref_pivots = scan_dwf_bounded(np.array(arrivals), capacity, levels)
+        assert np.array_equal(_dwf_bounded(np.array(arrivals), capacity, levels, given), ref)
+        assert given == ref_pivots
+
+    def test_keeps_pivots_that_pass_the_certificate(self):
+        arrivals = np.array([1.0, 0.0, 3.0])
+        levels = shifted((0, 0, 0))
+        assert refill(arrivals, INFINITE, levels, [(0, 2, True), (2, 3, True)]) == [0.5, 0.5, 3.0]
+
+    def test_a_flat_capped_pool_falls_back(self):
+        # level x up to power 1, flat past it: the budget of 3 overflows the cap
+        levels = [SlotLevel(((0.0, 1.0, 0.0), (1.0, 0.0, math.inf)))]
+        pivots = [(0, 1, True)]
+        assert refill(np.array([3.0]), INFINITE, levels, pivots) is None
+        assert _dwf_bounded(np.array([3.0]), INFINITE, levels, pivots).tolist() == [3.0]
+        # and its string is not kept for the next solve
+        assert pivots == []
+
+    @pytest.mark.parametrize("model", list(ModelKind))
+    @pytest.mark.parametrize("finite", [False, True])
+    def test_solves_agree_without_the_warm_start(self, monkeypatch, model, finite):
+        rng = np.random.default_rng(521 + 2 * list(ModelKind).index(model) + finite)
+        scenarios = [random_scenario(rng, model, finite, n_max=6) for _ in range(6)]
+        warm = [solve(sc, mode) for sc in scenarios for mode in CooperationMode]
+        monkeypatch.setattr(waterfill, "_refill", lambda *args: None)
+        cold = [solve(sc, mode) for sc in scenarios for mode in CooperationMode]
+        for a, b in zip(warm, cold):
+            assert math.isclose(a.objective_nats, b.objective_nats, rel_tol=1e-12)
+            assert (a.converged, a.bcd_iterations) == (b.converged, b.bcd_iterations)
+
+
 class TestSolveDispatch:
     def test_infinite_twc_uses_bcd(self):
         sc = make_scenario()
