@@ -330,7 +330,7 @@ def verify_scenario(sc: Scenario, grid_points=DpConfig.grid_points):
         ok = False
         findings.append(f"water-level residual {report.level_residual:.3g} > 1e-7")
     quantum = cfg.quantum_for(sc)
-    dp_value, _ = dp_solve(sc, cfg)
+    dp_value, _ = dp_solve(sc, cfg, policy=False)
     # marginal rate is at most 1/(2 n_min) nats per mJ of lost quantization
     n_min = float(np.min(sc.effective_noise_mw)) * sc.slot_seconds
     slack = quantum * (2 * sc.n_slots + 2) / (2 * n_min)

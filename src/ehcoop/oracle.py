@@ -45,7 +45,7 @@ class DpConfig:
         return budget / self.grid_points
 
 
-def dp_solve(sc: Scenario, cfg: DpConfig = DpConfig()):
+def dp_solve(sc: Scenario, cfg: DpConfig = DpConfig(), *, policy: bool = True):
     """Backward value iteration over quantized joint battery states.
 
     The state s = (s1, s2) is the quanta each battery carries into a slot,
@@ -79,7 +79,8 @@ def dp_solve(sc: Scenario, cfg: DpConfig = DpConfig()):
     The forward pass recovers the action only at the one state each slot
     visits: the first maximiser over (b1, b2) of rate(b) + W_i[s + h - b],
     then the first stored transfer whose next state attains W_i[m].
-    Returns (objective lower bound in nats, TransferPolicy).
+    Returns (objective lower bound in nats, TransferPolicy); with
+    policy=False the forward pass is skipped and the policy is None.
     """
     ssc = sc.unit_slot()
     q = cfg.quantum_for(sc)
@@ -161,6 +162,9 @@ def dp_solve(sc: Scenario, cfg: DpConfig = DpConfig()):
             lo1 = max(0, b1 - h1i)
             cand = (rate_tab[b1, :M2] + Wc[lo1 + h1i - b1:S1 + h1i - b1]).max(axis=2)
             np.maximum(best[lo1:], cand, out=best[lo1:])
+    value = float(V[0][0, 0]) * sc.slot_seconds
+    if not policy:
+        return value, None
 
     consumed = np.zeros((2, n))
     gamma = np.zeros((2, n))
@@ -183,8 +187,7 @@ def dp_solve(sc: Scenario, cfg: DpConfig = DpConfig()):
         s1, s2 = after(m1, m2, e1, e2)
     dp = DecomposedPolicy(consumed=consumed / sc.slot_seconds,
                           immediate=gamma, stored=eps)
-    policy = recover_transmit_powers(dp, sc)
-    return float(V[0][0, 0]) * sc.slot_seconds, policy
+    return value, recover_transmit_powers(dp, sc)
 
 
 def grid_transfer_max(model_kind, pb1, pb2, sc: Scenario, points=400):

@@ -349,11 +349,21 @@ def _dwf_full(ki, pb, ssc, levels=None, pivots=None):
 
 
 def _brent_max(f, tmax, xtol, probes):
-    """Brent's method for the maximum of a unimodal f on [0, tmax]: golden
+    """Brent's method for the maximum of a concave f on [0, tmax]: golden
     steps with parabolic interpolation (Brent 1973, the fminbound scheme),
-    stopped once the bracket reaches within 2/3 xtol of its best probe on
-    both sides, or after `probes` probes.  Probes lie in [0, tmax] and at
-    least xtol/3 apart; the caller keeps what they found."""
+    stopped after `probes` probes, once the bracket reaches within 2/3 xtol
+    of its best probe on both sides, or once concavity bounds what the
+    bracket can still gain by 1e-15*max(1, |f|).  That bound needs a probe
+    on each side of the best probe x: the secant through x and its nearest
+    probe on one side caps f on the other side of x, so on the bracket
+    [a, b] f exceeds f(x) by at most max(s_r*(x - a), s_l*(b - x)), where
+    s_l >= 0 is the secant slope from the left neighbour up to x and
+    s_r >= 0 the one from the right neighbour.  Each slope is taken one
+    rounding unit of f steeper, so two close probes whose values round to
+    a tie do not switch the bound off.  On a flat-topped move this stops
+    once the top is found, not once its bracket is xtol wide.  Probes lie
+    in [0, tmax] and at least xtol/3 apart; the caller keeps what they
+    found."""
     c = (3.0 - math.sqrt(5.0)) / 2.0
     tol1 = xtol / 3.0
     tol2 = 2.0 * tol1
@@ -361,11 +371,20 @@ def _brent_max(f, tmax, xtol, probes):
     # x is the best probe, w the second best, v the one before w
     x = w = v = c * tmax
     fx = fw = fv = f(x)
+    ts, fs = [x], [fx]  # every probe, sorted by position
     d = e = 0.0
     for _ in range(probes - 1):
         xm = 0.5 * (a + b)
         if abs(x - xm) <= tol2 - 0.5 * (b - a):
             break
+        j, k = bisect.bisect_left(ts, x), bisect.bisect_right(ts, x)
+        if 0 < j and k < len(ts):
+            # each value may be one unit in the last place off
+            scale = max(1.0, abs(fx))
+            s_l = (fx - fs[j - 1] + math.ulp(scale)) / (x - ts[j - 1])
+            s_r = (fx - fs[k] + math.ulp(scale)) / (ts[k] - x)
+            if max(s_r * (x - a), s_l * (b - x)) <= 1e-15 * scale:
+                break
         golden = True
         if abs(e) > tol1:
             # the vertex of the parabola through x, w and v, taken when it
@@ -390,6 +409,9 @@ def _brent_max(f, tmax, xtol, probes):
         step = max(abs(d), tol1)
         u = x + step if d >= 0 else x - step
         fu = f(u)
+        j = bisect.bisect(ts, u)
+        ts.insert(j, u)
+        fs.insert(j, fu)
         if fu >= fx:
             if u >= x:
                 a = x
@@ -414,8 +436,10 @@ def _search_move(base, tmax, apply_fn, objective_fn):
 
     The move value is concave: a partial maximization of a jointly concave
     objective over the re-solved node.  So one probe at 1e-5*tmax that gains
-    nothing rules the whole move out; otherwise Brent's method brackets the
-    maximum to 1e-10*tmax, within SEARCH_PROBES probes in all.
+    nothing rules the whole move out; otherwise Brent's method searches on
+    until its bracket is 1e-10*tmax wide or concavity bounds what the
+    bracket can still gain by 1e-15 of the value (at once on a flat top),
+    within SEARCH_PROBES probes in all.
     """
     if tmax <= 1e-13:
         return None, base

@@ -430,3 +430,12 @@ class TestVerifyFindings:
         lines = capsys.readouterr().out.splitlines()
         assert lines[-1] == "FAIL"
         assert "solver did not converge after 1 passes" in lines
+
+
+def test_verify_takes_the_dp_value_without_its_policy(monkeypatch):
+    calls = []
+    real = harness.dp_solve
+    monkeypatch.setattr(harness, "dp_solve",
+                        lambda *args, **kw: calls.append(kw) or real(*args, **kw))
+    ok, _ = harness.verify_scenario(make_scenario(harvests=((0.4, 1.0), (0.2, 0.6))), 20)
+    assert ok and calls == [{"policy": False}]

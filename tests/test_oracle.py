@@ -141,6 +141,18 @@ class TestDpSolve:
         assert check_feasible(policy, sc).feasible
         assert objective(policy, sc) >= value - 1e-9
 
+    @pytest.mark.parametrize("finite", [False, True])
+    def test_value_only_skips_the_forward_pass(self, monkeypatch, finite):
+        rng = np.random.default_rng(17 + finite)
+        scenarios = [random_scenario(rng, model, finite=finite)
+                     for model in ModelKind for _ in range(3)]
+        cfg = DpConfig(grid_points=12)
+        values = [dp_solve(sc, cfg)[0] for sc in scenarios]
+        # only the forward pass builds a SlotTransfer
+        monkeypatch.setattr(transfer, "slot_transfer", None)
+        assert [dp_solve(sc, cfg, policy=False) for sc in scenarios] == [
+            (value, None) for value in values]
+
     def test_refinement_never_decreases(self):
         sc = make_scenario(harvests=((1.0, 0.5), (0.25, 0.75)), capacity=(1.0, 1.0))
         coarse, _ = dp_solve(sc, DpConfig(energy_quantum_mJ=0.25))

@@ -528,12 +528,13 @@ class TestThcSolve:
             assert np.array_equal(moved, full)
 
     @pytest.mark.parametrize("entry, mode, most", [
-        (inf_bcd_entry_5, CooperationMode.UNI_1_TO_2, 200),
-        (finite_dwf_entry_126, CooperationMode.UNI_2_TO_1, 170),
+        (inf_bcd_entry_5, CooperationMode.UNI_1_TO_2, 130),
+        (finite_dwf_entry_126, CooperationMode.UNI_2_TO_1, 125),
     ])
     def test_polish_node_solves_stay_few(self, monkeypatch, entry, mode, most):
-        # a two-probe screen and 48-probe golden-section searches took 304
-        # and 240 node solves here
+        # 110 and 118 node solves; a two-probe screen and 48-probe
+        # golden-section searches took 304 and 240, and Brent searches that
+        # always bracketed the maximum to 1e-10*tmax 192 and 137
         calls = []
         full = waterfill._dwf_full
         monkeypatch.setattr(waterfill, "_dwf_full",
@@ -549,15 +550,15 @@ class TestSearchMove:
     TMAX = 2.5
 
     @classmethod
-    def search(cls, f):
+    def search(cls, f, tmax=TMAX):
         probes = []
 
         def objective(t):
             probes.append(t)
             return f(t)
 
-        trial, val = waterfill._search_move(f(0.0), cls.TMAX, lambda t: t, objective)
-        assert all(0.0 <= t <= cls.TMAX for t in probes)
+        trial, val = waterfill._search_move(f(0.0), tmax, lambda t: t, objective)
+        assert all(0.0 <= t <= tmax for t in probes)
         assert len(probes) <= waterfill.SEARCH_PROBES
         return trial, val, probes
 
@@ -583,6 +584,69 @@ class TestSearchMove:
         trial, val, probes = self.search(lambda t: -t)
         assert trial is None and val == 0.0
         assert len(probes) == 1
+
+    def test_flat_top_stops_on_the_plateau(self):
+        # every size in [0.3, 1.7] is optimal; bracketing one of them to
+        # 1e-10*tmax took 49 probes
+        trial, val, probes = self.search(lambda t: min(t, 0.3, 0.5 * (2.0 - t)))
+        assert val == 0.3 and 0.3 <= trial <= 1.7
+        assert len(probes) == 5
+
+    @staticmethod
+    def concave_move(rise, knots, slopes, start, tmax):
+        """The min of affine pieces on [0, tmax]: slope `rise` up to
+        knots[0], where the move is worth `start`, then slopes[i] from
+        knots[i] on.  Each piece is written from its knot nearest the top,
+        so with the top near 0 rounding stays far below the 1e-15 a search
+        is held to.  Returns the move and its exact maximum."""
+        starts = [start]
+        for s, t0, t1 in zip(slopes, knots, knots[1:]):
+            starts.append(starts[-1] + s * (t1 - t0))
+        pieces = [(knots[0], start, rise), *zip(knots, starts, slopes)]
+
+        def f(t):
+            return min(v + s * (t - t0) for t0, v, s in pieces)
+        return f, max(f(t) for t in knots + [tmax])
+
+    @classmethod
+    def random_concave_move(cls, rng, tmax):
+        """2-4 pieces: a steep rise from 0, so the screen passes, then a
+        flat piece or pieces of slope 1e-16 to 1e-14 either way, and maybe
+        a steep fall.  The top is flat or nearly so, and wide enough that
+        stopping short of it shows in the value."""
+        slopes = [rng.choice((-1, 1)) * 10 ** rng.uniform(-16, -14)
+                  for _ in range(rng.integers(1, 3))]
+        if rng.random() < 0.5:
+            slopes[0] = 0.0
+        if len(slopes) < 3 and rng.random() < 0.5:
+            slopes.append(-10 ** rng.uniform(-2, 1))
+        slopes.sort(reverse=True)
+        knots = sorted(rng.uniform(0.004 * tmax, tmax, len(slopes)).tolist())
+        return cls.concave_move(10 ** rng.uniform(-2, 1), knots, slopes,
+                                rng.uniform(-1e-3, 1e-3), tmax)
+
+    def test_random_concave_moves_reach_the_maximum(self):
+        rng = np.random.default_rng(2015)
+        moves = []
+        for _ in range(300):
+            tmax = 10 ** rng.uniform(-1, 2)
+            moves.append((*self.random_concave_move(rng, tmax), tmax))
+        for _ in range(100):
+            c = rng.uniform(0.3, 0.95)     # maximum at 1/c - 1, inside (0, tmax)
+            moves.append((lambda t, c=c: math.log1p(t) - c * t,
+                          math.log1p(1.0 / c - 1.0) - c * (1.0 / c - 1.0), self.TMAX))
+        for f, top, tmax in moves:
+            trial, val, _ = self.search(f, tmax)
+            assert trial is not None and val == f(trial)
+            assert val >= top - 1e-15 * max(1.0, abs(top))
+
+    def test_close_probes_that_round_to_a_tie_keep_the_bound(self):
+        # two probes 1.5e-9 apart on the -4e-15 slope past the top at t = 32
+        # round to the same value; with exact secants that tie read as a
+        # flat top and the search stopped 9.5e-15 short of the maximum
+        f, top = self.concave_move(1.0, [4.0, 32.0, 35.0], [5e-15, -4e-15, -0.25], 3e-4, 45.0)
+        _, val, _ = self.search(f, 45.0)
+        assert val >= top - 1e-15
 
 
 class TestMacSolve:
