@@ -31,7 +31,6 @@ from .waterfill import (
     CooperationMode,
     SolveReport,
     bcd_solve,
-    dwf_finite,
     mac_solve,
     solve,
     staircase,

@@ -63,12 +63,15 @@ def _is_number(x, kind=numbers.Real):
 
 
 def _numbers(x, name):
-    """x, once each leaf of its nested lists is a real number (not a bool)."""
-    if isinstance(x, list):
-        for v in x:
-            _numbers(v, name)
-    elif not _is_number(x):
-        raise InputError(f"{name} must be numeric, got {x!r}")
+    """x, once each leaf of its nested lists is a real number (not a bool);
+    walked in order without recursion, so no depth overflows the stack."""
+    todo = [x]
+    while todo:
+        v = todo.pop()
+        if isinstance(v, list):
+            todo += reversed(v)
+        elif not _is_number(v):
+            raise InputError(f"{name} must be numeric, got {v!r}")
     return x
 
 
@@ -132,6 +135,8 @@ def _load_json(path, what):
             return json.load(fh)
         except ValueError as exc:  # JSONDecodeError, or bytes that are not text
             raise InputError(f"{what} file is not valid JSON: {exc}") from None
+        except RecursionError:
+            raise InputError(f"{what} file is nested too deeply") from None
 
 
 def load_scenario(path) -> Scenario:

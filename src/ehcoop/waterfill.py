@@ -9,7 +9,9 @@ arrivals g1*E1 + g2*E2 (transfer.mac_gains), whose staircase policy is
 that same taut string with each slot's level equal to its power.  Around
 it: one loop that solves the two nodes alternately, for both battery
 kinds, with one combined-flow refinement for the two-hop min-rate
-objective.
+objective.  Each node keeps one state (_Node) for the whole solve: its
+slot levels, rebuilt only where the other node's power moved, and its
+pivot list, which the water-fill refills first.
 
 Solvers operate internally on a unit-slot copy of the scenario (noise
 scaled by slot length) so that consumed power and per-slot energy are the
@@ -79,21 +81,6 @@ class SolveReport:
 # ---------------------------------------------------------------------------
 # single-node directional water-filling over each slot's transfer.SlotLevel:
 # a taut string for both battery kinds and for the MAC staircase
-
-
-def _slot_levels(model_kind, k, other_powers, sc):
-    return [transfer.SlotLevel(transfer.level_pieces(model_kind, k, q, sc))
-            for q in np.asarray(other_powers, dtype=float).tolist()]
-
-
-def _relevel(levels, model_kind, k, other_powers, slots, sc):
-    """A copy of `levels` with `slots` rebuilt for new other-node powers; the
-    same list _slot_levels would build when only those slots' powers moved."""
-    out = list(levels)
-    for i in slots:
-        out[i] = transfer.SlotLevel(
-            transfer.level_pieces(model_kind, k, float(other_powers[i]), sc))
-    return out
 
 
 class _Pool:
@@ -203,7 +190,7 @@ def _refill(upper, lower, levels, pivots):
     return out
 
 
-def _dwf_bounded(arrivals, capacity, levels, pivots=None):
+def _dwf_bounded(arrivals, capacity, levels, pivots):
     """Single-node directional water-filling with a battery of `capacity`.
 
     Cumulative consumption is the taut string between the cumulative
@@ -220,13 +207,13 @@ def _dwf_bounded(arrivals, capacity, levels, pivots=None):
     ranked by level alone, and only the pivot's powers are filled.  Returns
     the consumed power per slot.
 
-    `pivots`, when given, is a list of (start, end, ends_on_upper) from an
-    earlier solve of the same node.  A non-empty list is refilled at these
-    levels first (_refill) and kept when that passes the certificate;
-    otherwise the scan runs and the list is replaced by its pivots, or
-    emptied when one of its pools is flat-capped.  Where the scan would
-    pick the same pivots, the pools, budgets and fills are the scan's, so
-    the powers are too.
+    `pivots` is the node's list of (start, end, ends_on_upper) from its
+    last solve, or empty.  A non-empty list is refilled at these levels
+    first (_refill) and kept when that passes the certificate; otherwise the
+    scan runs and the list is replaced by its pivots, or emptied when one of
+    its pools is flat-capped.  Where the scan would pick the same pivots,
+    the pools, budgets and fills are the scan's, so the powers are too.
+    `levels` is read only during the call: its owner rebuilds it in place.
     """
     upper = np.cumsum(arrivals)
     lower = upper - capacity
@@ -263,9 +250,8 @@ def _dwf_bounded(arrivals, capacity, levels, pivots=None):
         found.append((i0, end, on_upper))
         flat = flat or math.isinf(rank[0])
         i0, b0 = end, (upper if on_upper else lower)[end - 1]
-    if pivots is not None:
-        # a flat-capped pool would fail the refill, so its string is not kept
-        pivots[:] = [] if flat else found
+    # a flat-capped pool would fail the refill, so its string is not kept
+    pivots[:] = [] if flat else found
     return out
 
 
@@ -313,7 +299,7 @@ def _capacity_objective(model_kind, pb, ssc):
     return total
 
 
-def _build_report(sc, eff, ssc, pb, mode, iterations, converged):
+def _build_report(sc, eff, ssc, pb, mode, iterations, converged, nodes):
     """Assemble a SolveReport from converged consumed energies (2xN, mJ)."""
     n = sc.n_slots
     dt = sc.slot_seconds
@@ -324,7 +310,7 @@ def _build_report(sc, eff, ssc, pb, mode, iterations, converged):
     dp = DecomposedPolicy(consumed=pb / dt, immediate=gamma, stored=np.zeros((2, n)))
     transmit = recover_transmit_powers(dp, eff)
     obj = policy_objective(transmit, eff)
-    slot_levels = [_slot_levels(ssc.model_kind, ki + 1, pb[1 - ki], ssc) for ki in range(2)]
+    slot_levels = [node.slot_levels(pb) for node in nodes]
     levels = np.array([[lev.at(x) for lev, x in zip(slot_levels[ki], pb[ki].tolist())]
                        for ki in range(2)])
     residual = max(_node_level_residual(slot_levels[ki], ki, pb, ssc) for ki in range(2))
@@ -338,14 +324,35 @@ def _build_report(sc, eff, ssc, pb, mode, iterations, converged):
 # kinds
 
 
-def _dwf_full(ki, pb, ssc, levels=None, pivots=None):
-    """Re-solve node ki's whole allocation with the other node's held fixed;
-    every arrival is consumed by the last slot.  `levels`, when given, are
-    node ki's slot levels for pb's other row; `pivots`, the node's pivot
-    list that _dwf_bounded refills first and keeps up to date."""
-    if levels is None:
-        levels = _slot_levels(ssc.model_kind, ki + 1, pb[1 - ki], ssc)
-    pb[ki] = _dwf_bounded(ssc.harvests[ki], ssc.battery_capacity[ki], levels, pivots)
+class _Node:
+    """Node ki's state for one solve: its slot levels, each with the other
+    node's power it was built from, and its pivot list."""
+
+    __slots__ = ("ki", "ssc", "levels", "built", "pivots")
+
+    def __init__(self, ki, ssc):
+        self.ki, self.ssc = ki, ssc
+        self.levels = [None] * ssc.n_slots
+        self.built = [math.nan] * ssc.n_slots  # NaN differs from every power
+        self.pivots = []
+
+    def slot_levels(self, pb):
+        """The node's slot levels against pb's other row, rebuilt in place
+        only in the slots whose other-node power changed."""
+        levels, built, ssc = self.levels, self.built, self.ssc
+        for i, q in enumerate(pb[1 - self.ki].tolist()):
+            if q != built[i]:
+                built[i] = q
+                levels[i] = transfer.SlotLevel(
+                    transfer.level_pieces(ssc.model_kind, self.ki + 1, q, ssc))
+        return levels
+
+    def solve(self, pb):
+        """Re-solve the node's whole allocation in pb with the other node's
+        held fixed; every arrival is consumed by the last slot."""
+        ki, ssc = self.ki, self.ssc
+        pb[ki] = _dwf_bounded(ssc.harvests[ki], ssc.battery_capacity[ki],
+                              self.slot_levels(pb), self.pivots)
 
 
 def _brent_max(f, tmax, xtol, probes):
@@ -461,7 +468,7 @@ def _search_move(base, tmax, apply_fn, objective_fn):
     return None, base
 
 
-def _joint_polish(pb, ssc):
+def _joint_polish(pb, ssc, nodes):
     """Escape kink stalls of the nonsmooth two-hop objective: line-search a
     move of one node's consumption between adjacent slots while re-solving
     the other node's whole allocation, which lets both fluids shift together.
@@ -469,12 +476,14 @@ def _joint_polish(pb, ssc):
     A forward move (slot i to i+1) is capped by the battery headroom after
     slot i, so with an infinite battery it can take all of slot i.  When it
     does not improve, a backward move (slot i+1 to i) capped by the energy
-    stored after slot i is tried.  Each re-solved node keeps one pivot
-    list across the probes.
+    stored after slot i is tried.  The re-solves go through the nodes'
+    solve states, so a probe rebuilds only the slot levels its move changed.
     """
     model = ssc.model_kind
     cap = ssc.battery_capacity.tolist()
-    pivots = ([], [])
+    # the probes refill from the nodes' pivot lists, but the loop goes on
+    # from its own: a probe's string can tie with it and round differently
+    kept = [list(node.pivots) for node in nodes]
 
     def obj(trial):
         return _capacity_objective(model, trial, ssc)
@@ -483,16 +492,13 @@ def _joint_polish(pb, ssc):
     improved = False
     for k in range(2):
         for i in range(ssc.n_slots - 1):
-            levels = _slot_levels(model, 2 - k, pb[k], ssc)
             stored = float(np.cumsum(ssc.harvests[k] - pb[k])[i])
 
-            def move(t, k=k, i=i, levels=levels):
+            def move(t, k=k, i=i):
                 trial = pb.copy()
                 trial[k, i] -= t
                 trial[k, i + 1] += t
-                _dwf_full(1 - k, trial, ssc,
-                          _relevel(levels, model, 2 - k, trial[k], (i, i + 1), ssc),
-                          pivots[1 - k])
+                nodes[1 - k].solve(trial)
                 return trial
 
             trial, base = _search_move(base, min(pb[k, i], cap[k] - stored), move, obj)
@@ -502,6 +508,8 @@ def _joint_polish(pb, ssc):
             if trial is not None:
                 pb[:, :] = trial
                 improved = True
+    for node, pivots in zip(nodes, kept):
+        node.pivots = pivots
     return improved
 
 
@@ -509,42 +517,32 @@ def _alternate(sc, mode):
     """Solve the two nodes alternately until a pass moves no consumed power
     by 1e-10 or more; a pass runs up to 8 rounds while the two-hop polish
     still improves.  The polish is not retried within 1e-10 of the last
-    allocation it could not improve.  Each node keeps one pivot list across
-    passes and rounds."""
+    allocation it could not improve.  Each node keeps one solve state across
+    passes, rounds, the polish and the report."""
     eff = effective_scenario(sc, mode)
     ssc = eff.unit_slot()
     pb = np.array(ssc.harvests, dtype=float)
-    pivots = ([], [])
+    nodes = (_Node(0, ssc), _Node(1, ssc))
     stalled = None
     for passes in range(1, MAX_PASSES + 1):
         prev_pb = pb.copy()
         for _ in range(8):
-            _dwf_full(0, pb, ssc, None, pivots[0])
-            _dwf_full(1, pb, ssc, None, pivots[1])
+            nodes[0].solve(pb)
+            nodes[1].solve(pb)
             if ssc.model_kind is not ModelKind.THC or (
                     stalled is not None and float(np.max(np.abs(pb - stalled))) < 1e-10):
                 break
-            if not _joint_polish(pb, ssc):
+            if not _joint_polish(pb, ssc, nodes):
                 stalled = pb.copy()
                 break
         if float(np.max(np.abs(pb - prev_pb))) < 1e-10:
-            return _build_report(sc, eff, ssc, pb, mode, passes, True)
-    return _build_report(sc, eff, ssc, pb, mode, MAX_PASSES, False)
+            return _build_report(sc, eff, ssc, pb, mode, passes, True, nodes)
+    return _build_report(sc, eff, ssc, pb, mode, MAX_PASSES, False, nodes)
 
 
 def bcd_solve(sc: Scenario, mode: CooperationMode = CooperationMode.BIDIRECTIONAL) -> SolveReport:
-    """Infinite-battery solver: alternating per-node directional
-    water-filling, with the joint polish for the two-hop kink."""
-    if not all(math.isinf(c) for c in sc.battery_capacity):
-        raise InputError("infinite-battery solver called with finite capacity")
-    return _alternate(sc, mode)
-
-
-def dwf_finite(sc: Scenario, mode: CooperationMode = CooperationMode.BIDIRECTIONAL) -> SolveReport:
-    """Finite-battery solver: alternating exact capacity-bounded per-node
-    water-filling, with the joint polish for the two-hop kink."""
-    if all(math.isinf(c) for c in sc.battery_capacity):
-        raise InputError("dwf_finite requires at least one finite capacity")
+    """Alternating per-node directional water-filling, for any model and
+    either battery kind, with the joint polish for the two-hop kink."""
     return _alternate(sc, mode)
 
 
@@ -557,18 +555,20 @@ def staircase(aggregate, capacity) -> np.ndarray:
     string between cumulative arrivals and the overflow floor, which is
     _dwf_bounded with the level of every slot equal to its power."""
     agg = np.asarray(aggregate, dtype=float)
-    if np.any(agg < 0):
-        raise InputError("aggregate arrivals must be non-negative")
+    if agg.ndim != 1 or agg.size == 0:
+        raise InputError(f"aggregate arrivals must be 1-D and non-empty, got shape {agg.shape}")
+    if not (np.isfinite(agg).all() and (agg >= 0).all()):
+        raise InputError("aggregate arrivals must be finite and non-negative")
     if not capacity > 0:
         raise InputError(f"capacity must be positive (or INFINITE), got {capacity}")
-    return _dwf_bounded(agg, capacity, [transfer.SlotLevel(((0.0, 1.0, 0.0),))] * len(agg))
+    return _dwf_bounded(agg, capacity, [transfer.SlotLevel(((0.0, 1.0, 0.0),))] * len(agg), [])
 
 
 def mac_solve(sc: Scenario, mode: CooperationMode = CooperationMode.BIDIRECTIONAL) -> SolveReport:
     """MAC solver: the staircase of the pooled arrivals g1*E1 + g2*E2, in
     SNR units (transfer.mac_gains), split back to the users with the
-    senders' energy spent first; infinite batteries only (finite
-    capacities go through dwf_finite)."""
+    senders' energy spent first; infinite batteries only (solve sends
+    finite capacities to the alternation)."""
     if sc.model_kind is not ModelKind.MAC:
         raise InputError("mac_solve requires a MAC scenario")
     if not all(math.isinf(c) for c in sc.battery_capacity):
@@ -594,7 +594,7 @@ def mac_solve(sc: Scenario, mode: CooperationMode = CooperationMode.BIDIRECTIONA
             rem -= take
         if rem > 1e-7 * max(1.0, s[i]):
             raise InputError("staircase split exceeded pooled availability")
-    return _build_report(sc, eff, ssc, pb, mode, 0, True)
+    return _build_report(sc, eff, ssc, pb, mode, 0, True, (_Node(0, ssc), _Node(1, ssc)))
 
 
 # ---------------------------------------------------------------------------
@@ -602,9 +602,7 @@ def mac_solve(sc: Scenario, mode: CooperationMode = CooperationMode.BIDIRECTIONA
 
 
 def solve(sc: Scenario, mode: CooperationMode = CooperationMode.BIDIRECTIONAL) -> SolveReport:
-    """Route a scenario to the appropriate solver."""
-    if not all(math.isinf(c) for c in sc.battery_capacity):
-        return dwf_finite(sc, mode)
-    if sc.model_kind is ModelKind.MAC:
+    """The staircase for a MAC with infinite batteries, else the alternation."""
+    if sc.model_kind is ModelKind.MAC and all(math.isinf(c) for c in sc.battery_capacity):
         return mac_solve(sc, mode)
-    return bcd_solve(sc, mode)
+    return _alternate(sc, mode)

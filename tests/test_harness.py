@@ -32,6 +32,15 @@ def write_json(tmp_path, name, payload):
     return str(path)
 
 
+def run_ehcoop(*args):
+    """`python -m ehcoop` in a fresh process, on the sources under test."""
+    src = str(Path(ehcoop.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "ehcoop", *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 class TestScenarioIO:
     def test_minimal_valid(self, tmp_path):
         sc = harness.load_scenario(write_json(tmp_path, "sc.json", VALID_SCENARIO))
@@ -60,6 +69,13 @@ class TestScenarioIO:
         path.write_text("{not json")
         with pytest.raises(InputError, match="JSON"):
             harness.load_scenario(str(path))
+
+    def test_field_nested_past_the_recursion_limit(self):
+        deep = 1.0
+        for _ in range(sys.getrecursionlimit() + 10):
+            deep = [deep]
+        with pytest.raises(InputError, match="harvests"):
+            harness.scenario_from_dict(dict(VALID_SCENARIO, harvests_mJ=deep))
 
     def test_round_trip(self):
         sc = harness.scenario_from_dict(VALID_SCENARIO)
@@ -219,6 +235,25 @@ class TestCli:
         assert err.startswith("error:") and "Traceback" not in err
         assert "must be numeric" in err
 
+    @pytest.mark.parametrize("depth", [985, 5000])
+    @pytest.mark.parametrize("command, payload", [
+        ("solve", dict(VALID_SCENARIO, harvests_mJ="@")),
+        ("verify", dict(VALID_SCENARIO, harvests_mJ="@")),
+        ("sweep", {"base_scenario": dict(VALID_SCENARIO, harvests_mJ="@"),
+                   "swept_parameter": "alpha1", "values": [0.5]}),
+        ("sweep", {"base_scenario": VALID_SCENARIO, "swept_parameter": "alpha1",
+                   "values": "@"}),
+    ], ids=["solve", "verify", "sweep-base_scenario", "sweep-values"])
+    def test_deeply_nested_json_is_input_error(self, tmp_path, command, payload, depth):
+        # in a fresh process json.load parses 985 levels, so the field check
+        # meets them all; past about 1,000 the parse itself gives up
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(payload).replace('"@"', "[" * depth + "1.0" + "]" * depth))
+        out = ["--out", str(tmp_path / "o.csv")] if command == "sweep" else []
+        done = run_ehcoop(command, "--config", str(path), *out)
+        assert done.returncode == 1
+        assert done.stderr.startswith("error:") and "Traceback" not in done.stderr
+
     def test_misspelled_scenario_field_is_input_error(self, tmp_path, capsys):
         # a misspelled optional field would otherwise solve with its default
         d = dict(VALID_SCENARIO, harvests_mJ=[[2, 5], [0, 4]], slot_second=10.0)
@@ -250,11 +285,7 @@ class TestCli:
     def test_python_m_ehcoop(self, tmp_path):
         d = dict(VALID_SCENARIO, harvests_mJ=[[0.4, 1.0], [0.2, 0.6]])
         cfg = write_json(tmp_path, "sc.json", d)
-        src = str(Path(ehcoop.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        done = subprocess.run([sys.executable, "-m", "ehcoop", "verify", "--config", cfg],
-                              capture_output=True, text=True, env=env, timeout=120)
+        done = run_ehcoop("verify", "--config", cfg)
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "PASS"
 

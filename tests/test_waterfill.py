@@ -22,14 +22,11 @@ from ehcoop.waterfill import (
     CooperationMode,
     _capacity_objective,
     _dwf_bounded,
-    _dwf_full,
     _joint_polish,
-    _relevel,
-    _slot_levels,
+    _Node,
     _Pool,
     effective_scenario,
     bcd_solve,
-    dwf_finite,
     mac_solve,
     solve,
     staircase,
@@ -68,10 +65,15 @@ def thc_taut_string_policy(sc):
     return TransferPolicy(p=n * z, delta=np.zeros((2, sc.n_slots)))
 
 
+def slot_levels(model, k, other, sc):
+    """Node k's slot levels against the other node's powers `other`."""
+    return [SlotLevel(level_pieces(model, k, q, sc)) for q in np.asarray(other, float).tolist()]
+
+
 def dwf_node(k, other, sc):
     """Node k's consumed powers from the infinite-battery water-fill, with
     the other node's held at `other` (unit slots)."""
-    return _dwf_bounded(sc.harvests[k - 1], INFINITE, _slot_levels(sc.model_kind, k, other, sc))
+    return _dwf_bounded(sc.harvests[k - 1], INFINITE, slot_levels(sc.model_kind, k, other, sc), [])
 
 
 def single_node_sc(harvests1, model=ModelKind.TWC):
@@ -196,6 +198,14 @@ class TestStaircase:
         with pytest.raises(InputError, match="capacity"):
             staircase([1.0, 2.0, 0.5], capacity)
 
+    @pytest.mark.parametrize("arrivals", [[1.0, math.nan, 0.5], [1.0, math.inf, 0.5],
+                                          [[1.0, 2.0], [0.5, 0.0]], []])
+    def test_rejects_bad_arrivals(self, arrivals):
+        # NaN and inf arrivals raised ZeroDivisionError; 2-D and empty ones
+        # IndexError
+        with pytest.raises(InputError, match="aggregate arrivals"):
+            staircase(arrivals, INFINITE)
+
     @pytest.mark.parametrize("arrivals, capacity", [([1e-12, 3.0, 0.0], 0.5),
                                                     ([1e-13, 0.0, 0.0], INFINITE)])
     def test_consumes_sub_tolerance_arrivals(self, arrivals, capacity):
@@ -290,7 +300,7 @@ def random_levels(rng, model, n):
     sc = random_scenario(rng, model)
     sc = sc.with_efficiency(*(sc.transfer_efficiency * (rng.random(2) < 0.7)))
     other = rng.uniform(0, 0.3, size=n) * (rng.random(n) < 0.8)
-    return _slot_levels(model, int(rng.integers(1, 3)), other, sc)
+    return slot_levels(model, int(rng.integers(1, 3)), other, sc)
 
 
 class TestSolvePool:
@@ -298,7 +308,7 @@ class TestSolvePool:
         # two-hop node 1 with a1 = 0 and the other node silent: every slot's
         # level is flat from zero, so the pool has no knots
         sc = make_scenario(model=ModelKind.THC, alpha=(0.0, 0.5))
-        levels = _slot_levels(ModelKind.THC, 1, [0.0, 0.0], sc)
+        levels = slot_levels(ModelKind.THC, 1, [0.0, 0.0], sc)
         assert pool_result(_Pool(levels), 5e-12) == ((math.inf, 2.5e-12), [2.5e-12] * 2)
 
     @pytest.mark.parametrize("model", list(ModelKind))
@@ -345,7 +355,7 @@ class TestSolvePool:
             levels = random_levels(rng, model, n)
             arrivals = rng.uniform(0, 0.4, size=n) * (rng.random(n) < 0.8)
             capacity = rng.uniform(0.05, 1.0) if rng.random() < 0.8 else INFINITE
-            assert np.array_equal(_dwf_bounded(arrivals, capacity, levels),
+            assert np.array_equal(_dwf_bounded(arrivals, capacity, levels, []),
                                   generic_dwf_bounded(arrivals, capacity, levels))
 
     @pytest.mark.parametrize("model", list(ModelKind))
@@ -468,7 +478,7 @@ class TestThcSolve:
         calls = []
         polish = waterfill._joint_polish
         monkeypatch.setattr(waterfill, "_joint_polish",
-                            lambda pb, ssc: calls.append(pb) or polish(pb, ssc))
+                            lambda pb, ssc, nodes: calls.append(pb) or polish(pb, ssc, nodes))
         rep = bcd_solve(sc)
         assert rep.converged and rep.bcd_iterations == 2
         assert len(calls) == 1
@@ -476,11 +486,13 @@ class TestThcSolve:
     @staticmethod
     def assert_probes_rebuild_two_levels(monkeypatch, sc, mode):
         # each line-search probe of a move between slots i and i+1 rebuilds
-        # only those two slot levels, after the N built once per (node, slot)
+        # only those two slot levels, and each (node, slot) pair at most two
+        # more, where an accepted move or the other node's re-solve left them
         ssc = effective_scenario(sc, mode)
         pb = np.array(ssc.harvests)
-        for ki in (0, 1):
-            _dwf_full(ki, pb, ssc)
+        nodes = (_Node(0, ssc), _Node(1, ssc))
+        for node in nodes:
+            node.solve(pb)
         calls = {"level_pieces": 0, "probes": 0}
 
         def counted(name, fn):
@@ -491,12 +503,11 @@ class TestThcSolve:
 
         monkeypatch.setattr(transfer, "level_pieces",
                             counted("level_pieces", transfer.level_pieces))
-        monkeypatch.setattr(waterfill, "_dwf_full", counted("probes", waterfill._dwf_full))
-        assert _joint_polish(pb, ssc)
-        n = sc.n_slots
-        pairs = 2 * (n - 1)
+        monkeypatch.setattr(_Node, "solve", counted("probes", _Node.solve))
+        assert _joint_polish(pb, ssc, nodes)
+        pairs = 2 * (sc.n_slots - 1)
         assert calls["probes"] > pairs
-        assert calls["level_pieces"] <= 2 * calls["probes"] + n * pairs
+        assert calls["level_pieces"] <= 2 * calls["probes"] + 2 * pairs
 
     def test_polish_probe_rebuilds_two_levels(self, monkeypatch):
         self.assert_probes_rebuild_two_levels(monkeypatch, inf_bcd_entry_5(),
@@ -507,25 +518,22 @@ class TestThcSolve:
         self.assert_probes_rebuild_two_levels(monkeypatch, finite_dwf_entry_126(),
                                               CooperationMode.UNI_2_TO_1)
 
-    @pytest.mark.parametrize("finite", [False, True])
-    def test_prebuilt_levels_match_full_rebuild(self, finite):
-        rng = np.random.default_rng(29)
-        for _ in range(40):
-            sc = random_scenario(rng, ModelKind.THC, finite=finite, n_max=6)
-            ssc = sc.with_efficiency(*rng.uniform(0, 1, size=2) * (rng.random(2) < 0.7))
-            n = ssc.n_slots
-            ki = int(rng.integers(0, 2))
-            pb = rng.uniform(0, 0.3, size=(2, n))
-            i, m = sorted(rng.choice(n, size=2, replace=False).tolist())
-            levels = _slot_levels(ModelKind.THC, ki + 1, pb[1 - ki], ssc)
-            t = rng.uniform(0, pb[1 - ki, i])
-            pb[1 - ki, i] -= t
-            pb[1 - ki, m] += t
-            moved, full = pb.copy(), pb.copy()
-            _dwf_full(ki, moved, ssc, _relevel(levels, ModelKind.THC, ki + 1,
-                                               pb[1 - ki], (i, m), ssc))
-            _dwf_full(ki, full, ssc)
-            assert np.array_equal(moved, full)
+    def test_polish_leaves_the_loop_its_pivots(self, monkeypatch):
+        # the probes refill from the nodes' pivot lists, but the loop goes on
+        # from the ones it had: a probe's string can tie with the loop's and
+        # round the powers differently
+        changed = []
+        polish = waterfill._joint_polish
+
+        def wrapped(pb, ssc, nodes):
+            kept = [list(node.pivots) for node in nodes]
+            improved = polish(pb, ssc, nodes)
+            changed.append([node.pivots for node in nodes] != kept)
+            return improved
+
+        monkeypatch.setattr(waterfill, "_joint_polish", wrapped)
+        solve(inf_bcd_entry_5(), CooperationMode.UNI_1_TO_2)
+        assert changed == [False, False]
 
     @pytest.mark.parametrize("entry, mode, most", [
         (inf_bcd_entry_5, CooperationMode.UNI_1_TO_2, 130),
@@ -536,11 +544,47 @@ class TestThcSolve:
         # golden-section searches took 304 and 240, and Brent searches that
         # always bracketed the maximum to 1e-10*tmax 192 and 137
         calls = []
-        full = waterfill._dwf_full
-        monkeypatch.setattr(waterfill, "_dwf_full",
-                            lambda *args: calls.append(1) or full(*args))
+        full = _Node.solve
+        monkeypatch.setattr(_Node, "solve", lambda node, pb: calls.append(1) or full(node, pb))
         assert solve(entry(), mode).converged
         assert len(calls) <= most
+
+
+class TestNode:
+    @pytest.mark.parametrize("model", list(ModelKind))
+    def test_levels_match_a_fresh_build(self, model):
+        # a node rebuilds a slot level only where the other node's power
+        # moved, and what it keeps is what a fresh build gives
+        rng = np.random.default_rng(29 + list(ModelKind).index(model))
+        for _ in range(40):
+            sc = random_scenario(rng, model, finite=bool(rng.random() < 0.5), n_max=6)
+            ssc = sc.with_efficiency(*rng.uniform(0, 1, size=2) * (rng.random(2) < 0.7))
+            n, ki = ssc.n_slots, int(rng.integers(0, 2))
+            node = _Node(ki, ssc)
+            pb = rng.uniform(0, 0.3, size=(2, n)) * (rng.random((2, n)) < 0.8)
+            for _ in range(6):
+                node.slot_levels(pb)
+                before = pb[1 - ki].tolist()
+                # a polish move between two slots, one slot redrawn, or a
+                # move of the node's own row, which changes none of its levels
+                kind = rng.integers(0, 3)
+                row = pb[ki] if kind == 2 else pb[1 - ki]
+                i, m = rng.choice(n, size=2).tolist()
+                t = rng.uniform(0, row[i])
+                row[i] -= t
+                row[m] += t
+                if kind == 1:
+                    row[i] = rng.uniform(0, 0.3)
+                rebuilt = sum(a != b for a, b in zip(before, pb[1 - ki].tolist()))
+                with pytest.MonkeyPatch.context() as mp:
+                    calls = []
+                    mp.setattr(transfer, "level_pieces",
+                               lambda *args: calls.append(1) or level_pieces(*args))
+                    levels = node.slot_levels(pb)
+                assert len(calls) == rebuilt <= (0 if kind == 2 else 2)
+                fresh = slot_levels(model, ki + 1, pb[1 - ki], ssc)
+                for lev, ref in zip(levels, fresh, strict=True):
+                    assert (lev.rows, lev.cap, lev.knots) == (ref.rows, ref.cap, ref.knots)
 
 
 class TestSearchMove:
@@ -704,7 +748,7 @@ class TestDwfFinite:
                                   capacity=(total + 1, total + 1),
                                   alpha=tuple(sc.transfer_efficiency),
                                   gain_db=tuple(sc.channel_gain_db))
-            fin = dwf_finite(loose)
+            fin = solve(loose)
             inf = solve(sc)
             assert fin.objective_nats == pytest.approx(inf.objective_nats, abs=1e-8)
 
@@ -712,7 +756,7 @@ class TestDwfFinite:
         rng = np.random.default_rng(53)
         for _ in range(10):
             sc = random_scenario(rng, ModelKind.TWC, finite=True)
-            rep = dwf_finite(sc)
+            rep = solve(sc)
             assert check_feasible(rep.transmit, sc).feasible
             assert check_partially_procrastinating(rep.policy, sc)
 
@@ -722,7 +766,7 @@ class TestDwfFinite:
                                            gain_db, stalled):
         sc = make_scenario(model=ModelKind.MAC, harvests=harvests, capacity=capacity,
                            alpha=alpha, gain_db=gain_db)
-        rep = dwf_finite(sc, mode)
+        rep = solve(sc, mode)
         assert rep.converged
         assert check_feasible(rep.transmit, sc).feasible
         assert rep.level_residual <= 1e-7
@@ -750,8 +794,8 @@ class TestDwfBounded:
         # idle, and slot 0's energy must pass it to reach slot 2
         sc = make_scenario(model=ModelKind.MAC, alpha=(0.0, 0.0),
                            harvests=((1.0,) * 3, (1.0,) * 3))
-        levels = _slot_levels(ModelKind.MAC, 1, [0.0, 5.0, 0.0], sc)
-        out = _dwf_bounded(np.array([4.0, 0.0, 0.0]), capacity, levels)
+        levels = slot_levels(ModelKind.MAC, 1, [0.0, 5.0, 0.0], sc)
+        out = _dwf_bounded(np.array([4.0, 0.0, 0.0]), capacity, levels, [])
         assert np.allclose(out, expected, atol=1e-12)
 
     @pytest.mark.parametrize("model", list(ModelKind))
@@ -772,8 +816,8 @@ class TestDwfBounded:
             other = rng.uniform(0, 6, size=n) * (rng.random(n) < 0.7)
             arrivals = rng.uniform(0, 10, size=n) * (rng.random(n) < 0.8)
             capacity = rng.uniform(1, 12)
-            levels = _slot_levels(model, k, other, sc)
-            p = _dwf_bounded(arrivals, capacity, levels)
+            levels = slot_levels(model, k, other, sc)
+            p = _dwf_bounded(arrivals, capacity, levels, [])
             upper = np.cumsum(arrivals)
             cum = np.cumsum(p)
             assert np.all(p >= -1e-9)
@@ -870,9 +914,9 @@ class TestRefill:
             arrivals = rng.uniform(0, 0.4, size=n) * (rng.random(n) < 0.8)
             capacity = rng.uniform(0.05, 1.0) if finite else INFINITE
             pivots = []
-            out = _dwf_bounded(arrivals, capacity, _slot_levels(model, k, other, sc), pivots)
+            out = _dwf_bounded(arrivals, capacity, slot_levels(model, k, other, sc), pivots)
             ref, ref_pivots = scan_dwf_bounded(arrivals, capacity,
-                                               _slot_levels(model, k, other, sc))
+                                               slot_levels(model, k, other, sc))
             assert np.array_equal(out, ref) and pivots == ref_pivots
             # the other node's powers move: a little everywhere, by one
             # polish move between adjacent slots, or redrawn
@@ -886,7 +930,7 @@ class TestRefill:
                 other[i + 1] += t
             else:
                 other = rng.uniform(0, 0.3, size=n) * (rng.random(n) < 0.8)
-            levels = _slot_levels(model, k, other, sc)
+            levels = slot_levels(model, k, other, sc)
             flat += any(math.isfinite(lev.cap) for lev in levels)
             kept += refill(arrivals, capacity, levels, pivots) is not None
             out = _dwf_bounded(arrivals, capacity, levels, pivots)
