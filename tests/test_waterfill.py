@@ -431,6 +431,28 @@ class TestThcSolve:
         sc = make_scenario(model=ModelKind.THC, harvests=((0.0, 0.0), (0.0, 0.0)))
         assert bcd_solve(sc).objective_nats == 0.0
 
+    @pytest.mark.parametrize("finite", [False, True])
+    def test_prebuilt_levels_match_full_rebuild(self, finite):
+        # a node that keeps its levels across a two-slot move of the other
+        # node's power solves as a node built from scratch
+        rng = np.random.default_rng(29)
+        for _ in range(40):
+            sc = random_scenario(rng, ModelKind.THC, finite=finite, n_max=6)
+            ssc = sc.with_efficiency(*rng.uniform(0, 1, size=2) * (rng.random(2) < 0.7))
+            n = ssc.n_slots
+            ki = int(rng.integers(0, 2))
+            pb = rng.uniform(0, 0.3, size=(2, n))
+            node = _Node(ki, ssc)
+            node.solve(pb)
+            i, m = sorted(rng.choice(n, size=2, replace=False).tolist())
+            t = rng.uniform(0, pb[1 - ki, i])
+            pb[1 - ki, i] -= t
+            pb[1 - ki, m] += t
+            moved, full = pb.copy(), pb.copy()
+            node.solve(moved)
+            _Node(ki, ssc).solve(full)
+            assert np.array_equal(moved, full)
+
     def test_bcd_solve_refines_two_hop(self):
         # alternating node solves alone stall at 3.10042 nats, below the
         # combined-flow refinement
