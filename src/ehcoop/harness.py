@@ -83,6 +83,18 @@ def _capacity(x):
     raise InputError(f"battery capacity must be a number or 'inf', got {x!r}")
 
 
+def _field(d, key):
+    if key not in d:
+        raise InputError(f"missing required field '{key}'")
+    return d[key]
+
+
+def _array(x, name):
+    if not isinstance(x, list):
+        raise InputError(f"{name} must be a JSON array, got {x!r}")
+    return x
+
+
 def _only_fields(d, fields, what):
     """Reject keys outside a schema, where a misspelled one would go unnoticed."""
     unknown = [repr(key) for key in d if key not in fields]
@@ -100,8 +112,7 @@ def scenario_from_dict(d: dict) -> Scenario:
     except (KeyError, TypeError, ValueError):
         raise InputError("field 'model' must be one of TWC, THC, MAC")
     for key in SCENARIO_FIELDS[1:-1]:  # all but the model and slot_seconds
-        if key not in d:
-            raise InputError(f"missing required field '{key}'")
+        _field(d, key)
     caps = d["battery_capacity_mJ"]
     if isinstance(caps, list):
         caps = [_capacity(c) for c in caps]
@@ -180,6 +191,8 @@ class SweepSpec:
                 raise InputError(f"{key} must be a finite number >= 0, got {x!r}")
         if len(self.values) < 1:
             raise InputError("sweep needs at least one value")
+        if len(self.modes) < 1:
+            raise InputError("sweep needs at least one mode")
         for m in self.modes:
             if m not in MODE_NAMES and m not in BASELINE_NAMES:
                 raise InputError(f"unknown mode {m!r}")
@@ -189,12 +202,13 @@ def sweep_spec_from_dict(d: dict) -> SweepSpec:
     if not isinstance(d, dict):
         raise InputError("a sweep spec must be a JSON object")
     _only_fields(d, SWEEP_FIELDS, "sweep spec")
-    base = scenario_from_dict(d["base_scenario"])
+    base = scenario_from_dict(_field(d, "base_scenario"))
     try:
-        if "values" in d:
-            values = tuple(float(_numbers(v, "values")) for v in d["values"])
+        if "values" in d or "lo" not in d:
+            values = _array(_numbers(_field(d, "values"), "values"), "values")
+            values = tuple(float(v) for v in values)
         else:
-            lo, hi, step = (float(_numbers(d[key], key)) for key in ("lo", "hi", "step"))
+            lo, hi, step = (float(_numbers(_field(d, key), key)) for key in ("lo", "hi", "step"))
             if not (lo <= hi and step > 0):
                 raise InputError("sweep range requires lo <= hi and step > 0")
             if (hi - lo) / step + 1 > MAX_SWEEP_POINTS:
@@ -205,8 +219,8 @@ def sweep_spec_from_dict(d: dict) -> SweepSpec:
             if key in d:
                 kwargs[key] = d[key]
         if "modes" in d:
-            kwargs["modes"] = tuple(d["modes"])
-        return SweepSpec(base=base, swept_parameter=d["swept_parameter"],
+            kwargs["modes"] = tuple(_array(d["modes"], "modes"))
+        return SweepSpec(base=base, swept_parameter=_field(d, "swept_parameter"),
                          values=values, **kwargs)
     except (TypeError, ValueError) as exc:  # InputError too: one prefix for every spec error
         raise InputError(f"malformed sweep spec: {exc}") from None

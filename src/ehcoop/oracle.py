@@ -50,7 +50,7 @@ def dp_solve(sc: Scenario, cfg: DpConfig = DpConfig(), *, policy: bool = True):
 
     The state s = (s1, s2) is the quanta each battery carries into a slot,
     before the slot's harvest h.  An action consumes b_k <= s_k + h_k quanta
-    per node, with the transfer within the slot from the closed forms.  With
+    per node, with the transfer within the slot from the model's split.  With
     a finite capacity, one node may also send e quanta of its leftover
     m = s + h - b to the other, which stores floor(alpha_k * e) of them (the
     epsilon component).  The next state is m - e plus what was received,
@@ -91,7 +91,9 @@ def dp_solve(sc: Scenario, cfg: DpConfig = DpConfig(), *, policy: bool = True):
     # a sender whose energy never arrives cannot beat storing nothing
     senders = [k for k in range(2) if use_eps and alpha[k] > 0]
     total = int(np.sum(h))
-    s1max, s2max = (min(int(math.floor(c / q + 1e-12)), total) if math.isfinite(c)
+    # c is capped before dividing: c / q can overflow
+    s1max, s2max = (min(int(math.floor(min(c, (total + 1) * q) / q + 1e-12)), total)
+                    if math.isfinite(c)
                     else total if use_eps else int(np.sum(h[k]))
                     for k, c in enumerate(ssc.battery_capacity))
     smax = (s1max, s2max)

@@ -8,7 +8,9 @@ affine in a node's own consumed power (level_pieces), read through SlotLevel.
 All functions take consumed powers in mW (equivalently mJ for unit slots)
 and read effective noises and efficiencies from the Scenario, as Python
 floats (through .tolist()): numpy scalars give the same values at about
-twice the cost per operation.  slot_rate is the slot rate alone, with the
+twice the cost per operation.  Each model has one split, (pb1, pb2,
+n1, n2, a1, a2) -> (d1, d2, regime), and its slot rate is the channel
+rate of that split applied.  slot_rate is the slot rate alone, with the
 constants read once, for sums over many slots (the solvers' objective);
 slot_transfer takes its rate from it.  rate_grid is the array form of the
 slot rate, for tables over many consumed powers at once (the DP oracle).
@@ -81,18 +83,25 @@ def _thc_split(pb1, pb2, n1, n2, a1, a2):
     return 0.0, 0.0, Regime.NO_TRANSFER
 
 
+def _mac_split(pb1, pb2, n1, n2, a1, a2):
+    """MAC transfer (d1, d2) and regime: with c_k = 1/n_k the per-user SNR
+    coefficient of the sum-capacity, user k transfers all its power iff
+    a_k*c_j > c_k strictly; ties resolve to no transfer."""
+    d1 = pb1 if a1 * (1.0 / n2) > 1.0 / n1 else 0.0
+    d2 = pb2 if a2 * (1.0 / n1) > 1.0 / n2 else 0.0
+    return d1, d2, (Regime.FULL_1 if d1 > 0 else Regime.FULL_2 if d2 > 0
+                    else Regime.NO_TRANSFER)
+
+
 def _constants(sc):
     return (*sc.effective_noise_mw.tolist(), *sc.transfer_efficiency.tolist())
 
 
 def mac_sends(sc: Scenario) -> tuple:
-    """Whether each user transfers its whole power; a channel constant.
-
-    With c_k = 1/n_k the per-user SNR coefficient of the sum-capacity, user
-    k sends iff a_k*c_j > c_k strictly; ties resolve to no transfer.
-    """
-    n1, n2, a1, a2 = _constants(sc)
-    return a1 * (1.0 / n2) > 1.0 / n1, a2 * (1.0 / n1) > 1.0 / n2
+    """Whether each user transfers its whole power (_mac_split); a channel
+    constant."""
+    d1, d2, _ = _mac_split(1.0, 1.0, *_constants(sc))
+    return d1 > 0, d2 > 0
 
 
 def mac_gains(sc: Scenario) -> tuple:
@@ -111,40 +120,26 @@ def mac_gains(sc: Scenario) -> tuple:
 def slot_transfer(model_kind, pb1, pb2, sc: Scenario) -> SlotTransfer:
     """The optimal transfer within one slot: the TWC's five regimes
     (_twc_split), the THC's equalized received powers (_thc_split) or the
-    MAC's corner of a linear program (mac_sends), with slot_rate's rate."""
+    MAC's corner of a linear program (_mac_split), with slot_rate's rate."""
     _check_powers(pb1, pb2)
-    if model_kind is ModelKind.TWC:
-        d1, d2, regime = _twc_split(pb1, pb2, *_constants(sc))
-    elif model_kind is ModelKind.THC:
-        d1, d2, regime = _thc_split(pb1, pb2, *_constants(sc))
-    else:
-        send1, send2 = mac_sends(sc)
-        d1, d2 = (pb1 if send1 else 0.0), (pb2 if send2 else 0.0)
-        regime = Regime.FULL_1 if d1 > 0 else Regime.FULL_2 if d2 > 0 else Regime.NO_TRANSFER
+    split = (_twc_split if model_kind is ModelKind.TWC
+             else _thc_split if model_kind is ModelKind.THC else _mac_split)
+    d1, d2, regime = split(pb1, pb2, *_constants(sc))
     return SlotTransfer((d1, d2), regime, slot_rate(model_kind, sc)(pb1, pb2))
 
 
 def slot_rate(model_kind, sc: Scenario):
     """The slot rate under the optimal transfer as a function rate(pb1, pb2)
     in nats, with the channel constants read once: slot_transfer's
-    rate_nats, without its SlotTransfer.  TWC takes the closed form of its
-    regime; THC and MAC take the rate of their transfer applied."""
+    rate_nats, without its SlotTransfer.  Each model's rate is its split,
+    applied to the consumed powers, then its channel rate (model.rate)."""
     n1, n2, a1, a2 = _constants(sc)
     if model_kind is ModelKind.TWC:
-        root1, root2 = math.sqrt(a1 / (n1 * n2)), math.sqrt(a2 / (n1 * n2))
-
         def rate(pb1, pb2):
             _check_powers(pb1, pb2)
-            regime = _twc_split(pb1, pb2, n1, n2, a1, a2)[2]
-            if regime is Regime.NO_TRANSFER:
-                return 0.5 * math.log1p(pb1 / n1) + 0.5 * math.log1p(pb2 / n2)
-            if regime is Regime.INTERIOR_1:
-                return math.log(0.5 * ((n1 + pb1) + (n2 + pb2) / a1) * root1)
-            if regime is Regime.INTERIOR_2:
-                return math.log(0.5 * ((n2 + pb2) + (n1 + pb1) / a2) * root2)
-            if regime is Regime.FULL_1:
-                return 0.5 * math.log1p((pb2 + a1 * pb1) / n2)
-            return 0.5 * math.log1p((pb1 + a2 * pb2) / n1)
+            d1, d2, _ = _twc_split(pb1, pb2, n1, n2, a1, a2)
+            return (0.5 * math.log1p(max(pb1 - d1 + a2 * d2, 0.0) / n1)
+                    + 0.5 * math.log1p(max(pb2 - d2 + a1 * d1, 0.0) / n2))
         return rate
     if model_kind is ModelKind.THC:
         def rate(pb1, pb2):
@@ -153,11 +148,10 @@ def slot_rate(model_kind, sc: Scenario):
             return min(0.5 * math.log1p(max(pb1 - d1 + a2 * d2, 0.0) / n1),
                        0.5 * math.log1p(max(pb2 - d2 + a1 * d1, 0.0) / n2))
         return rate
-    send1, send2 = mac_sends(sc)
 
     def rate(pb1, pb2):
         _check_powers(pb1, pb2)
-        d1, d2 = (pb1 if send1 else 0.0), (pb2 if send2 else 0.0)
+        d1, d2, _ = _mac_split(pb1, pb2, n1, n2, a1, a2)
         return 0.5 * math.log1p(max(pb1 - d1 + a2 * d2, 0.0) / n1
                                 + max(pb2 - d2 + a1 * d1, 0.0) / n2)
     return rate
@@ -167,31 +161,22 @@ def rate_grid(model_kind, pb1, pb2, sc: Scenario) -> np.ndarray:
     """slot_transfer(model_kind, x, y, sc).rate_nats for every x in pb1 and
     y in pb2, as an array of shape (len(pb1), len(pb2)).
 
-    One array expression per model, with the regime tests, BOUNDARY_TOL and
-    closed forms of the scalar functions above; the values agree with them
-    to within the last bits of the logarithms.
+    The transfers of each model's split as arrays, with its regime tests
+    and BOUNDARY_TOL, applied, then the channel rate, as in slot_rate; the
+    values agree with it to within the last bits of the logarithms.
     """
     x = np.asarray(pb1, dtype=float)[:, None]
     y = np.asarray(pb2, dtype=float)[None, :]
     _check_powers(x.min(), y.min())
-    n1, n2 = sc.effective_noise_mw.tolist()
-    a1, a2 = sc.transfer_efficiency.tolist()
+    n1, n2, a1, a2 = _constants(sc)
     if model_kind is ModelKind.TWC:
-        # the alpha = 0 branches divide by zero; the regime tests never pick them
-        with np.errstate(divide="ignore", invalid="ignore"):
-            raw1 = 0.5 * ((n1 + x) - (n2 + y) / a1) if a1 > 0 else np.full_like(x, -math.inf)
-            raw2 = 0.5 * ((n2 + y) - (n1 + x) / a2) if a2 > 0 else np.full_like(y, -math.inf)
-            one = (raw1 >= -BOUNDARY_TOL) & (raw1 > raw2)
-            two = ~one & (raw2 >= -BOUNDARY_TOL)
-            return np.select(
-                [one & (raw1 > x + BOUNDARY_TOL), one,
-                 two & (raw2 > y + BOUNDARY_TOL), two],
-                [0.5 * np.log1p((y + a1 * x) / n2),
-                 np.log(0.5 * ((n1 + x) + (n2 + y) / a1) * math.sqrt(a1 / (n1 * n2))),
-                 0.5 * np.log1p((x + a2 * y) / n1),
-                 np.log(0.5 * ((n2 + y) + (n1 + x) / a2) * math.sqrt(a2 / (n1 * n2)))],
-                0.5 * np.log1p(x / n1) + 0.5 * np.log1p(y / n2))
-    if model_kind is ModelKind.THC:
+        raw1 = 0.5 * ((n1 + x) - (n2 + y) / a1) if a1 > 0 else np.full_like(x, -math.inf)
+        raw2 = 0.5 * ((n2 + y) - (n1 + x) / a2) if a2 > 0 else np.full_like(y, -math.inf)
+        one = (raw1 >= -BOUNDARY_TOL) & (raw1 > raw2)
+        two = ~one & (raw2 >= -BOUNDARY_TOL)
+        d1 = np.where(one, np.minimum(x, np.maximum(0.0, raw1)), 0.0)
+        d2 = np.where(two, np.minimum(y, np.maximum(0.0, raw2)), 0.0)
+    elif model_kind is ModelKind.THC:
         num = n2 * x - n1 * y        # w1 * pb1 - w2 * pb2, as in _thc_split
         d1 = np.where(num > BOUNDARY_TOL, num / (a1 * n1 + n2), 0.0) if a1 > 0 else 0.0
         d2 = np.where(num < -BOUNDARY_TOL, -num / (a2 * n2 + n1), 0.0) if a2 > 0 else 0.0
@@ -200,6 +185,8 @@ def rate_grid(model_kind, pb1, pb2, sc: Scenario) -> np.ndarray:
         d1, d2 = (x if send1 else 0.0), (y if send2 else 0.0)
     p1 = np.maximum(x - d1 + a2 * d2, 0.0)
     p2 = np.maximum(y - d2 + a1 * d1, 0.0)
+    if model_kind is ModelKind.TWC:
+        return 0.5 * np.log1p(p1 / n1) + 0.5 * np.log1p(p2 / n2)
     if model_kind is ModelKind.THC:
         return np.minimum(0.5 * np.log1p(p1 / n1), 0.5 * np.log1p(p2 / n2))
     return 0.5 * np.log1p(p1 / n1 + p2 / n2)

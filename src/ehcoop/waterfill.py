@@ -163,21 +163,19 @@ class _Pool:
 
 def _refill(upper, lower, levels, pivots):
     """The string through the given pivots (start, end, ends_on_upper), one
-    pool per segment, or None unless it is the taut string: every rank is
-    finite, the running consumption stays within [L, U] between pivots,
-    and the level does not fall after an empty-battery pivot nor rise after
-    a full-battery one (the directional certificate, sufficient for the
-    optimum)."""
+    pool per segment, or None unless it is the taut string: the running
+    consumption stays within [L, U] between pivots, and the rank (level,
+    spread) that _Pool.solve gives does not fall after an empty-battery
+    pivot nor rise after a full-battery one, compared as the scan compares
+    them (the directional certificate, sufficient for the optimum)."""
     out = []
     b0 = 0.0
-    prev = None  # (level, ends_on_upper) of the segment before
+    prev = None  # (rank, ends_on_upper) of the segment before
     for start, end, on_upper in pivots:
         pool = _Pool(levels[start:end])
         b1 = (upper if on_upper else lower)[end - 1]
         rank = pool.solve(b1 - b0)
-        level = rank[0]
-        if math.isinf(level) or prev is not None and (
-                level < prev[0] if prev[1] else level > prev[0]):
+        if prev is not None and (rank < prev[0] if prev[1] else rank > prev[0]):
             return None
         fill = pool.fill(end - start, rank)
         run = b0
@@ -186,7 +184,7 @@ def _refill(upper, lower, levels, pivots):
             if not lower[j] <= run <= upper[j]:
                 return None
         out += fill
-        b0, prev = b1, (level, on_upper)
+        b0, prev = b1, (rank, on_upper)
     return out
 
 
@@ -210,9 +208,9 @@ def _dwf_bounded(arrivals, capacity, levels, pivots):
     `pivots` is the node's list of (start, end, ends_on_upper) from its
     last solve, or empty.  A non-empty list is refilled at these levels
     first (_refill) and kept when that passes the certificate; otherwise the
-    scan runs and the list is replaced by its pivots, or emptied when one of
-    its pools is flat-capped.  Where the scan would pick the same pivots,
-    the pools, budgets and fills are the scan's, so the powers are too.
+    scan runs and the list is replaced by its pivots, flat-capped pools
+    included.  Where the scan would pick the same pivots, the pools,
+    budgets and fills are the scan's, so the powers are too.
     `levels` is read only during the call: its owner rebuilds it in place.
     """
     upper = np.cumsum(arrivals)
@@ -225,7 +223,7 @@ def _dwf_bounded(arrivals, capacity, levels, pivots):
         if out is not None:
             return np.array(out)
     out = np.zeros(n)
-    found, flat = [], False
+    found = []
     i0, b0 = 0, 0.0
     while i0 < n:
         hi = lo = None  # (rank, end) of the tightest segment to U, to L
@@ -248,10 +246,8 @@ def _dwf_bounded(arrivals, capacity, levels, pivots):
             (rank, end), on_upper = up, True
         out[i0:end] = pool.fill(end - i0, rank)
         found.append((i0, end, on_upper))
-        flat = flat or math.isinf(rank[0])
         i0, b0 = end, (upper if on_upper else lower)[end - 1]
-    # a flat-capped pool would fail the refill, so its string is not kept
-    pivots[:] = [] if flat else found
+    pivots[:] = found
     return out
 
 

@@ -282,6 +282,39 @@ class TestCli:
         assert f"more than {harness.MAX_SWEEP_POINTS} points" in err
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("spec, message", [
+        (dict(modes=[]), "sweep needs at least one mode"),
+        (dict(base_scenario=None), "missing required field 'base_scenario'"),
+        (dict(swept_parameter=None), "missing required field 'swept_parameter'"),
+        (dict(values=None), "missing required field 'values'"),
+        (dict(modes="bi"), "modes must be a JSON array"),
+        (dict(values={"0.5": 1.0}), "values must be numeric"),
+        (dict(values=0.5), "values must be a JSON array"),
+    ], ids=["no-modes", "no-base", "no-parameter", "no-values", "modes-string",
+            "values-object", "values-number"])
+    def test_sweep_spec_boundary_is_input_error(self, tmp_path, capsys, spec, message):
+        sweep = {"base_scenario": VALID_SCENARIO, "swept_parameter": "alpha1",
+                 "values": [0.5], "modes": ["bidirectional"], "trials_per_point": 1}
+        sweep.update(spec)
+        sweep = {key: value for key, value in sweep.items() if value is not None}
+        cfg = write_json(tmp_path, "sweep.json", sweep)
+        out = tmp_path / "o.csv"
+        assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not out.exists()
+
+    def test_verify_huge_finite_capacity(self, tmp_path, capsys):
+        # the DP sizes the battery by the harvests, without dividing 1e300
+        # by the 2.5e-14 mJ quantum
+        d = dict(VALID_SCENARIO, harvests_mJ=[[1e-12, 0], [0, 0]],
+                 battery_capacity_mJ=[1e300, 1e300])
+        cfg = write_json(tmp_path, "sc.json", d)
+        assert cli.main(["verify", "--config", cfg]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[-1] == "PASS"
+        assert "Traceback" not in captured.err
+
     def test_python_m_ehcoop(self, tmp_path):
         d = dict(VALID_SCENARIO, harvests_mJ=[[0.4, 1.0], [0.2, 0.6]])
         cfg = write_json(tmp_path, "sc.json", d)

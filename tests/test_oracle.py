@@ -153,6 +153,13 @@ class TestDpSolve:
         assert [dp_solve(sc, cfg, policy=False) for sc in scenarios] == [
             (value, None) for value in values]
 
+    @pytest.mark.parametrize("harvests", [((1e-12, 0.0), (0.0, 0.0)), ((0.4, 1.0), (0.2, 0.6))])
+    def test_huge_finite_capacity_equals_infinite(self, harvests):
+        # a capacity no harvest can fill holds as much as an infinite one
+        huge = make_scenario(harvests=harvests, capacity=(1e300, 1e300))
+        infinite = make_scenario(harvests=harvests)
+        assert dp_solve(huge, policy=False)[0] == dp_solve(infinite, policy=False)[0]
+
     def test_refinement_never_decreases(self):
         sc = make_scenario(harvests=((1.0, 0.5), (0.25, 0.75)), capacity=(1.0, 1.0))
         coarse, _ = dp_solve(sc, DpConfig(energy_quantum_mJ=0.25))

@@ -868,15 +868,14 @@ class TestDwfBounded:
 
 def scan_dwf_bounded(arrivals, capacity, levels):
     """_dwf_bounded before the warm start: the scan from every pivot, and
-    the (start, end, ends_on_upper) pivots it picked, or none when a pool
-    is flat-capped."""
+    the (start, end, ends_on_upper) pivots it picked."""
     upper = np.cumsum(arrivals)
     lower = upper - capacity
     lower[-1] = upper[-1]
     upper, lower = upper.tolist(), lower.tolist()
     n = len(upper)
     out = np.zeros(n)
-    pivots, flat = [], False
+    pivots = []
     i0, b0 = 0, 0.0
     while i0 < n:
         hi = lo = None
@@ -900,9 +899,8 @@ def scan_dwf_bounded(arrivals, capacity, levels):
         rank, end = pivot
         out[i0:end] = pool.fill(end - i0, rank)
         pivots.append((i0, end, on_upper))
-        flat = flat or math.isinf(rank[0])
         i0 = end
-    return out, [] if flat else pivots
+    return out, pivots
 
 
 def refill(arrivals, capacity, levels, pivots):
@@ -926,7 +924,7 @@ class TestRefill:
         # the pivots are the scan's, within rounding at a tie between two
         # pivot lists
         rng = np.random.default_rng(503 + 2 * list(ModelKind).index(model) + finite)
-        kept = flat = 0
+        kept = flat = kept_flat = 0
         for _ in range(150):
             n = int(rng.integers(1, 9))
             sc = random_scenario(rng, model)
@@ -954,7 +952,11 @@ class TestRefill:
                 other = rng.uniform(0, 0.3, size=n) * (rng.random(n) < 0.8)
             levels = slot_levels(model, k, other, sc)
             flat += any(math.isfinite(lev.cap) for lev in levels)
-            kept += refill(arrivals, capacity, levels, pivots) is not None
+            refilled = refill(arrivals, capacity, levels, pivots)
+            kept += refilled is not None
+            # a flat-capped pool fills its slots past their caps
+            kept_flat += refilled is not None and any(
+                p > lev.cap for p, lev in zip(refilled, levels))
             out = _dwf_bounded(arrivals, capacity, levels, pivots)
             ref, ref_pivots = scan_dwf_bounded(arrivals, capacity, levels)
             if pivots == ref_pivots:
@@ -963,6 +965,8 @@ class TestRefill:
                 assert np.allclose(out, ref, rtol=0.0, atol=1e-12)
         assert kept >= 50
         assert flat > 0 if model is ModelKind.THC else flat == 0
+        # a string with a flat-capped pool is refilled too
+        assert kept_flat > 0 if model is ModelKind.THC else kept_flat == 0
 
     def test_falls_back_when_a_level_change_moves_a_pivot(self):
         arrivals = np.array([1.0, 1.0, 1.0])
@@ -999,14 +1003,14 @@ class TestRefill:
         levels = shifted((0, 0, 0))
         assert refill(arrivals, INFINITE, levels, [(0, 2, True), (2, 3, True)]) == [0.5, 0.5, 3.0]
 
-    def test_a_flat_capped_pool_falls_back(self):
-        # level x up to power 1, flat past it: the budget of 3 overflows the cap
+    def test_a_flat_capped_pool_refills(self):
+        # level x up to power 1, flat past it: the budget of 3 overflows the
+        # cap, and the pool's rank is (inf, surplus)
         levels = [SlotLevel(((0.0, 1.0, 0.0), (1.0, 0.0, math.inf)))]
         pivots = [(0, 1, True)]
-        assert refill(np.array([3.0]), INFINITE, levels, pivots) is None
+        assert refill(np.array([3.0]), INFINITE, levels, pivots) == [3.0]
         assert _dwf_bounded(np.array([3.0]), INFINITE, levels, pivots).tolist() == [3.0]
-        # and its string is not kept for the next solve
-        assert pivots == []
+        assert pivots == [(0, 1, True)]
 
     @pytest.mark.parametrize("model", list(ModelKind))
     @pytest.mark.parametrize("finite", [False, True])
