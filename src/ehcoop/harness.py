@@ -75,6 +75,13 @@ def _numbers(x, name):
     return x
 
 
+def _number(x, name):
+    """x as a float, once it is a real number (not a bool, nor a list)."""
+    if not _is_number(x):
+        raise InputError(f"{name} must be numeric, got {x!r}")
+    return float(x)
+
+
 def _capacity(x):
     if isinstance(x, str) and x.lower() in ("inf", "infinite"):
         return INFINITE
@@ -194,6 +201,8 @@ class SweepSpec:
         if len(self.modes) < 1:
             raise InputError("sweep needs at least one mode")
         for m in self.modes:
+            if not isinstance(m, str):
+                raise InputError(f"modes must be strings, got {m!r}")
             if m not in MODE_NAMES and m not in BASELINE_NAMES:
                 raise InputError(f"unknown mode {m!r}")
 
@@ -206,9 +215,9 @@ def sweep_spec_from_dict(d: dict) -> SweepSpec:
     try:
         if "values" in d or "lo" not in d:
             values = _array(_numbers(_field(d, "values"), "values"), "values")
-            values = tuple(float(v) for v in values)
+            values = tuple(_number(v, "values") for v in values)
         else:
-            lo, hi, step = (float(_numbers(_field(d, key), key)) for key in ("lo", "hi", "step"))
+            lo, hi, step = (_number(_field(d, key), key) for key in ("lo", "hi", "step"))
             if not (lo <= hi and step > 0):
                 raise InputError("sweep range requires lo <= hi and step > 0")
             if (hi - lo) / step + 1 > MAX_SWEEP_POINTS:

@@ -57,6 +57,11 @@ def _pair(x, name, allow_inf=False):
     return arr
 
 
+def _effective_noise_mw(noise_w, gain_lin):
+    # n_k = sigma_j^2 / h_k, in mW; the noise floor seen by node k's signal.
+    return np.array([noise_w[1] / gain_lin[0], noise_w[0] / gain_lin[1]]) * 1e3
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Problem instance: two nodes, N slots, harvests and channel constants.
@@ -64,7 +69,8 @@ class Scenario:
     harvests is indexed [node, slot] in mJ.  battery_capacity entries may be
     the INFINITE sentinel.  channel_gain_db holds the link power gains in dB;
     noise_power_w the receiver noise powers in watts.  The effective noise of
-    each node must lie in NOISE_RANGE_MW (1e-100 to 1e100 mW) and the total
+    each node must lie in NOISE_RANGE_MW (1e-100 to 1e100 mW), and so must
+    its product with slot_seconds (in mJ, the noise of unit_slot()); the total
     harvest of both nodes must be at most HARVEST_TOTAL_MAX_MJ (1e100 mJ):
     beyond them the solvers' products and ratios overflow or underflow.
     """
@@ -101,13 +107,17 @@ class Scenario:
         # rejected just below
         with np.errstate(over="ignore", divide="ignore", under="ignore"):
             gain_lin = 10.0 ** (gain_db / 10.0)
-            # n_k = sigma_j^2 / h_k, in mW; the noise floor seen by node k's signal.
-            eff = np.array([noise[1] / gain_lin[0], noise[0] / gain_lin[1]]) * 1e3
+            eff = _effective_noise_mw(noise, gain_lin)
+            # the solvers' unit_slot() copy, whose noise is scaled by dt
+            per_slot = _effective_noise_mw(noise * dt, gain_lin)
             total = harv.sum()
         lo, hi = NOISE_RANGE_MW
         if not ((eff >= lo) & (eff <= hi)).all():
             raise InputError(f"channel gains and noise powers must give a finite "
                              f"effective noise in [{lo:g}, {hi:g}] mW, got {eff.tolist()}")
+        if not ((per_slot >= lo) & (per_slot <= hi)).all():
+            raise InputError(f"slot_seconds must keep the effective noise times the slot "
+                             f"length in [{lo:g}, {hi:g}] mJ, got {per_slot.tolist()}")
         if not total <= HARVEST_TOTAL_MAX_MJ:
             raise InputError(f"total harvest must be at most {HARVEST_TOTAL_MAX_MJ:g} mJ, "
                              f"got {total:g}")

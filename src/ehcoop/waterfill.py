@@ -7,11 +7,11 @@ floor, for either battery kind (an infinite battery has no floor before
 the last slot).  The MAC reduces to a single node with SNR-weighted
 arrivals g1*E1 + g2*E2 (transfer.mac_gains), whose staircase policy is
 that same taut string with each slot's level equal to its power.  Around
-it: one loop that solves the two nodes alternately, for both battery
-kinds, with one combined-flow refinement for the two-hop min-rate
-objective.  Each node keeps one state (_Node) for the whole solve: its
-slot levels, rebuilt only where the other node's power moved, and its
-pivot list, which the water-fill refills first.
+it: one loop (bcd_solve) that solves the two nodes alternately, for both
+battery kinds, each pass followed, on the two-hop min-rate objective, by
+one combined-flow polish sweep.  Each node keeps one state (_Node) for
+the whole solve: its slot levels, rebuilt only where the other node's
+power moved, and its pivot list, which the water-fill refills first.
 
 Solvers operate internally on a unit-slot copy of the scenario (noise
 scaled by slot length) so that consumed power and per-slot energy are the
@@ -68,7 +68,7 @@ class SolveReport:
     transmit: TransferPolicy
     objective_nats: float
     levels: np.ndarray            # [node, slot] generalized water levels
-    bcd_iterations: int           # alternation passes (0 for the MAC staircase)
+    bcd_iterations: int           # bcd_solve passes (0 for the MAC staircase)
     level_residual: float
     mode: CooperationMode
     converged: bool = True
@@ -87,12 +87,14 @@ class _Pool:
     """Slots held at one common water level, solved for any number of
     budgets, and grown one slot at a time by `add`.  Its knots are kept
     sorted, and each knot's total inverse is extended over the slots added
-    since, in slot order, only when a solve reads it."""
+    since, in slot order, only when a solve reads it.  `rise` sums the
+    inverse slopes of the unbounded last pieces; each is 1 or 1/2 (level
+    slopes are 1 or 2), so the running sum is exact."""
 
-    __slots__ = ("levels", "caps", "cap_total", "knots", "invs", "totals")
+    __slots__ = ("levels", "caps", "cap_total", "rise", "knots", "invs", "totals")
 
     def __init__(self, levels=()):
-        self.levels, self.caps, self.cap_total = [], [], 0
+        self.levels, self.caps, self.cap_total, self.rise = [], [], 0, 0.0
         # per knot: the inverse of each slot counted so far, and their sum
         self.knots, self.invs, self.totals = [], [], []
         for lev in levels:
@@ -103,6 +105,8 @@ class _Pool:
         self.levels.append(lev)
         self.caps.append(lev.cap)
         self.cap_total = sum(self.caps)  # as summed afresh, on every Python
+        if math.isinf(lev.cap):
+            self.rise += 1.0 / lev.rows[-1][1]
         knots = self.knots
         for x in lev.knots:
             i = bisect.bisect_left(knots, x)
@@ -146,9 +150,8 @@ class _Pool:
         # past the last knot only unbounded last pieces still rise; with none
         # the budget is within ENERGY_TOL of the caps
         level = knots[-1]
-        rise = sum(1.0 / lev.rows[-1][1] for lev in levels if math.isinf(lev.cap))
-        if rise > 0:
-            level += (budget - total(len(knots) - 1)) / rise
+        if self.rise > 0:
+            level += (budget - total(len(knots) - 1)) / self.rise
         return level, 0.0
 
     def fill(self, m, rank):
@@ -509,37 +512,28 @@ def _joint_polish(pb, ssc, nodes):
     return improved
 
 
-def _alternate(sc, mode):
-    """Solve the two nodes alternately until a pass moves no consumed power
-    by 1e-10 or more; a pass runs up to 8 rounds while the two-hop polish
-    still improves.  The polish is not retried within 1e-10 of the last
-    allocation it could not improve.  Each node keeps one solve state across
-    passes, rounds, the polish and the report."""
+def bcd_solve(sc: Scenario, mode: CooperationMode = CooperationMode.BIDIRECTIONAL) -> SolveReport:
+    """Alternating per-node directional water-filling, for any model and
+    either battery kind.  Each pass solves node 1, then node 2, then, on the
+    two-hop channel, runs one joint polish sweep for its kink.  The first
+    pass whose node solves move no consumed power by 1e-10, after a polish
+    that found nothing (or none, off the two-hop channel), ends the loop;
+    MAX_PASSES passes end it unconverged.  Each node keeps one solve state
+    across passes, the polish and the report."""
     eff = effective_scenario(sc, mode)
     ssc = eff.unit_slot()
     pb = np.array(ssc.harvests, dtype=float)
     nodes = (_Node(0, ssc), _Node(1, ssc))
-    stalled = None
+    two_hop = ssc.model_kind is ModelKind.THC
+    improved = two_hop
     for passes in range(1, MAX_PASSES + 1):
         prev_pb = pb.copy()
-        for _ in range(8):
-            nodes[0].solve(pb)
-            nodes[1].solve(pb)
-            if ssc.model_kind is not ModelKind.THC or (
-                    stalled is not None and float(np.max(np.abs(pb - stalled))) < 1e-10):
-                break
-            if not _joint_polish(pb, ssc, nodes):
-                stalled = pb.copy()
-                break
-        if float(np.max(np.abs(pb - prev_pb))) < 1e-10:
+        nodes[0].solve(pb)
+        nodes[1].solve(pb)
+        if not improved and float(np.max(np.abs(pb - prev_pb))) < 1e-10:
             return _build_report(sc, eff, ssc, pb, mode, passes, True, nodes)
+        improved = two_hop and _joint_polish(pb, ssc, nodes)
     return _build_report(sc, eff, ssc, pb, mode, MAX_PASSES, False, nodes)
-
-
-def bcd_solve(sc: Scenario, mode: CooperationMode = CooperationMode.BIDIRECTIONAL) -> SolveReport:
-    """Alternating per-node directional water-filling, for any model and
-    either battery kind, with the joint polish for the two-hop kink."""
-    return _alternate(sc, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -601,4 +595,4 @@ def solve(sc: Scenario, mode: CooperationMode = CooperationMode.BIDIRECTIONAL) -
     """The staircase for a MAC with infinite batteries, else the alternation."""
     if sc.model_kind is ModelKind.MAC and all(math.isinf(c) for c in sc.battery_capacity):
         return mac_solve(sc, mode)
-    return _alternate(sc, mode)
+    return bcd_solve(sc, mode)

@@ -290,8 +290,14 @@ class TestCli:
         (dict(modes="bi"), "modes must be a JSON array"),
         (dict(values={"0.5": 1.0}), "values must be numeric"),
         (dict(values=0.5), "values must be a JSON array"),
+        (dict(values=[[0.5]]), "values must be numeric, got [0.5]"),
+        (dict(values=[0.5, [1.0]]), "values must be numeric, got [1.0]"),
+        (dict(values=None, lo=[0.0], hi=1.0, step=0.5), "lo must be numeric, got [0.0]"),
+        (dict(modes=[["bi"]]), "modes must be strings, got ['bi']"),
+        (dict(modes=[{"a": 1}]), "modes must be strings, got {'a': 1}"),
     ], ids=["no-modes", "no-base", "no-parameter", "no-values", "modes-string",
-            "values-object", "values-number"])
+            "values-object", "values-number", "values-nested", "values-partly-nested",
+            "lo-list", "modes-list-entry", "modes-object-entry"])
     def test_sweep_spec_boundary_is_input_error(self, tmp_path, capsys, spec, message):
         sweep = {"base_scenario": VALID_SCENARIO, "swept_parameter": "alpha1",
                  "values": [0.5], "modes": ["bidirectional"], "trials_per_point": 1}
@@ -398,6 +404,18 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
         assert "PASS" not in captured.out
+
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    @pytest.mark.parametrize("slot_seconds", [1e308, 1e-300])
+    def test_slot_seconds_outside_the_noise_range_is_input_error(self, tmp_path, capsys,
+                                                                 command, slot_seconds):
+        # the solvers scale the noise by the slot length; the scenario is
+        # rejected where it is read, with the field that is out of range
+        cfg = write_json(tmp_path, "sc.json", dict(VALID_SCENARIO, slot_seconds=slot_seconds))
+        assert cli.main([command, "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: slot_seconds must keep the effective noise")
+        assert captured.out == ""
 
     @pytest.mark.parametrize("command", ["solve", "verify"])
     def test_infeasible_solver_policy_is_an_error_line(self, tmp_path, capsys, command):

@@ -89,6 +89,12 @@ class TestScenarioValidation:
                 with pytest.raises(InputError, match="effective noise|total harvest"):
                     make_scenario(noise_w=noise_w, gain_db=(0.0, 0.0), harvests=harvests)
 
+    @pytest.mark.parametrize("slot_seconds", [1e308, 1e-300])
+    def test_slot_seconds_outside_the_noise_range_rejected(self, slot_seconds):
+        # the 1 mW effective noise is in range, its unit-slot copy is not
+        with pytest.raises(InputError, match="slot_seconds must keep the effective noise"):
+            make_scenario(slot_seconds=slot_seconds)
+
     def test_non_numeric_rejected(self):
         with pytest.raises(InputError, match="harvests must be numeric"):
             dataclasses.replace(make_scenario(), harvests="abc")

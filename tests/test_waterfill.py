@@ -44,6 +44,17 @@ def inf_bcd_entry_5():
                    8.131790738474313)))
 
 
+def inf_bcd_entry_36():
+    """Default-seed inf-bcd benchmark entry 36, a THC scenario run in bi mode."""
+    return make_scenario(
+        model=ModelKind.THC, alpha=(0.8392835258788218, 0.6424294094899926),
+        gain_db=(-100.2245840289145, -99.11422083505497),
+        harvests=((6.67709585335655, 7.131434629413812, 0.23626768374665263,
+                   3.0562069073112594),
+                  (3.9372301994895356, 2.735494564962085, 7.250880557084316,
+                   8.001262892953129)))
+
+
 def inf_bcd_entry_23():
     """Default-seed inf-bcd benchmark entry 23, a THC scenario run in none mode."""
     return make_scenario(
@@ -503,6 +514,30 @@ class TestThcSolve:
                             lambda pb, ssc, nodes: calls.append(pb) or polish(pb, ssc, nodes))
         rep = bcd_solve(sc)
         assert rep.converged and rep.bcd_iterations == 2
+        assert len(calls) == 1
+
+    @staticmethod
+    def count_polishes(monkeypatch):
+        calls = []
+        polish = waterfill._joint_polish
+        monkeypatch.setattr(waterfill, "_joint_polish",
+                            lambda pb, ssc, nodes: calls.append(1) or polish(pb, ssc, nodes))
+        return calls
+
+    def test_each_pass_polishes_once_but_the_last(self, monkeypatch):
+        # every pass runs its node solves and then one polish sweep; the pass
+        # that stops the loop runs no polish
+        calls = self.count_polishes(monkeypatch)
+        rep = bcd_solve(inf_bcd_entry_36())
+        assert rep.converged and rep.bcd_iterations == 6
+        assert len(calls) == rep.bcd_iterations - 1 == 5
+
+    def test_pass_budget_bounds_the_polish_sweeps(self, monkeypatch):
+        # one pass is one polish sweep, however much that sweep improved
+        monkeypatch.setattr(waterfill, "MAX_PASSES", 1)
+        calls = self.count_polishes(monkeypatch)
+        rep = bcd_solve(inf_bcd_entry_36())
+        assert not rep.converged and rep.bcd_iterations == 1
         assert len(calls) == 1
 
     @staticmethod
