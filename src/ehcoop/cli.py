@@ -71,8 +71,8 @@ def _cmd_solve(args):
     else:
         print(f"objective: {report.objective_nats:.9f} nats")
     if not report.converged:
-        print(f"warning: solver did not converge "
-              f"(level residual {report.level_residual:.3g})", file=sys.stderr)
+        print(f"warning: solver did not converge after {report.bcd_iterations} passes",
+              file=sys.stderr)
         return EXIT_NONCONVERGED
     return EXIT_OK
 

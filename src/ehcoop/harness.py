@@ -205,6 +205,8 @@ class SweepSpec:
                 raise InputError(f"modes must be strings, got {m!r}")
             if m not in MODE_NAMES and m not in BASELINE_NAMES:
                 raise InputError(f"unknown mode {m!r}")
+        if len(set(self.modes)) < len(self.modes):
+            raise InputError(f"modes must not repeat a mode, got {list(self.modes)}")
 
 
 def sweep_spec_from_dict(d: dict) -> SweepSpec:

@@ -196,10 +196,6 @@ class DecomposedPolicy:
         for name, val in [("consumed", c), ("immediate", g), ("stored", e)]:
             object.__setattr__(self, name, val)
 
-    @property
-    def delta(self) -> np.ndarray:
-        return self.immediate + self.stored
-
 
 @dataclass(frozen=True)
 class BatteryTrace:
@@ -215,26 +211,31 @@ class FeasibilityReport:
     first_violation: tuple | None = None  # (node, slot, kind)
 
 
+def _received(x, sc: Scenario) -> np.ndarray:
+    """What each node receives of the other's transfers x, a row per node,
+    for one slot (shape (2,)) or many (2, N): row k is a_j * x_j."""
+    return (sc.transfer_efficiency * x.T).T[::-1]
+
+
+def _battery_step(s, i, p, delta, sc: Scenario):
+    """Both batteries after slot i, from states s, transmit powers p and
+    transfers delta: (min(cap, raw), raw) with raw = S + E - p*dt - d_out + a*d_in."""
+    raw = s + sc.harvests[:, i] - p * sc.slot_seconds - delta + _received(delta, sc)
+    return np.minimum(sc.battery_capacity, raw), raw
+
+
 def battery_trace(policy: TransferPolicy, sc: Scenario) -> BatteryTrace:
     """Run the battery recursion S_i = min(cap, S_{i-1} + E - p*dt - d_out + a*d_in)."""
     n = sc.n_slots
     p = _policy_array(policy.p, n, "policy.p")
     delta = _policy_array(policy.delta, n, "policy.delta")
-    dt = sc.slot_seconds
-    alpha = sc.transfer_efficiency
-    cap = sc.battery_capacity
     state = np.zeros((2, n))
-    overflow = np.zeros((2, n))
+    raw = np.zeros((2, n))
     s = np.zeros(2)
     for i in range(n):
-        for k in range(2):
-            j = 1 - k
-            raw = s[k] + sc.harvests[k, i] - p[k, i] * dt - delta[k, i] + alpha[j] * delta[j, i]
-            clipped = min(cap[k], raw)
-            overflow[k, i] = max(0.0, raw - clipped)
-            state[k, i] = clipped
-        s = state[:, i].copy()
-    return BatteryTrace(state=state, overflow_loss=overflow)
+        s, raw[:, i] = _battery_step(s, i, p[:, i], delta[:, i], sc)
+        state[:, i] = s
+    return BatteryTrace(state=state, overflow_loss=np.maximum(0.0, raw - state))
 
 
 def check_feasible(policy: TransferPolicy, sc: Scenario) -> FeasibilityReport:
@@ -251,16 +252,30 @@ def check_feasible(policy: TransferPolicy, sc: Scenario) -> FeasibilityReport:
     return FeasibilityReport(True)
 
 
+def _twc_rate(p1, p2, n1, n2, log1p=math.log1p, minimum=min):
+    return 0.5 * log1p(p1 / n1) + 0.5 * log1p(p2 / n2)
+
+
+def _thc_rate(p1, p2, n1, n2, log1p=math.log1p, minimum=min):
+    return minimum(0.5 * log1p(p1 / n1), 0.5 * log1p(p2 / n2))
+
+
+def _mac_rate(p1, p2, n1, n2, log1p=math.log1p, minimum=min):
+    return 0.5 * log1p(p1 / n1 + p2 / n2)
+
+
+# Each model's channel rate: the sum-capacity in nats of transmit powers
+# p1, p2 (mW) over effective noises n1, n2, on floats, or on arrays when
+# handed numpy's log1p and minimum.
+CHANNEL_RATE = {ModelKind.TWC: _twc_rate, ModelKind.THC: _thc_rate,
+                ModelKind.MAC: _mac_rate}
+
+
 def rate(model_kind: ModelKind, p1: float, p2: float, sc: Scenario) -> float:
     """Per-slot sum-capacity in nats for transmit powers p1, p2 (mW)."""
     if p1 < 0 or p2 < 0:
         raise InputError("transmit powers must be non-negative")
-    n1, n2 = sc.effective_noise_mw.tolist()
-    if model_kind is ModelKind.TWC:
-        return 0.5 * math.log1p(p1 / n1) + 0.5 * math.log1p(p2 / n2)
-    if model_kind is ModelKind.THC:
-        return min(0.5 * math.log1p(p1 / n1), 0.5 * math.log1p(p2 / n2))
-    return 0.5 * math.log1p(p1 / n1 + p2 / n2)
+    return CHANNEL_RATE[model_kind](p1, p2, *sc.effective_noise_mw.tolist())
 
 
 def objective(policy: TransferPolicy, sc: Scenario) -> float:
@@ -276,13 +291,9 @@ def objective(policy: TransferPolicy, sc: Scenario) -> float:
 
 def recover_transmit_powers(dp: DecomposedPolicy, sc: Scenario) -> TransferPolicy:
     """Invert the consumed-power definition: p = pbar - gamma + a_j*gamma_j."""
-    alpha = sc.transfer_efficiency
     dt = sc.slot_seconds
-    p = np.empty_like(dp.consumed)
-    for k in range(2):
-        j = 1 - k
-        # consumed is in mW; gamma in mJ, so divide its power contribution by dt
-        p[k] = dp.consumed[k] - dp.immediate[k] / dt + alpha[j] * dp.immediate[j] / dt
+    # consumed is in mW; gamma in mJ, so divide its power contribution by dt
+    p = dp.consumed - dp.immediate / dt + _received(dp.immediate, sc) / dt
     if np.any(p < -1e-9):
         raise InputError("recovered transmit power is negative; invariant violated")
     return TransferPolicy(p=np.maximum(p, 0.0), delta=dp.immediate + dp.stored)
@@ -297,24 +308,14 @@ def decompose(policy: TransferPolicy, sc: Scenario,
     """
     gamma = np.asarray(policy.delta if immediate is None else immediate, dtype=float)
     eps = policy.delta - gamma
-    alpha = sc.transfer_efficiency
     dt = sc.slot_seconds
-    consumed = np.empty_like(policy.p)
-    for k in range(2):
-        j = 1 - k
-        consumed[k] = policy.p[k] + gamma[k] / dt - alpha[j] * gamma[j] / dt
+    consumed = policy.p + gamma / dt - _received(gamma, sc) / dt
     return DecomposedPolicy(consumed=consumed, immediate=gamma, stored=eps)
 
 
 def check_procrastinating(policy: TransferPolicy, sc: Scenario) -> bool:
     """True iff p_k >= a_j * delta_j every slot (transfers spent on arrival)."""
-    alpha = sc.transfer_efficiency
-    dt = sc.slot_seconds
-    for k in range(2):
-        j = 1 - k
-        if np.any(policy.p[k] * dt - alpha[j] * policy.delta[j] < -FEAS_TOL_MJ):
-            return False
-    return True
+    return not np.any(policy.p * sc.slot_seconds - _received(policy.delta, sc) < -FEAS_TOL_MJ)
 
 
 def check_partially_procrastinating(dp: DecomposedPolicy, sc: Scenario) -> bool:
@@ -376,19 +377,11 @@ def procrastinate_transform(policy: TransferPolicy, sc: Scenario) -> DecomposedP
         # battery overflow forced by held-back transfers goes out as the
         # stored component and counts against the remaining obligation
         for _ in range(200):
-            delta_i = gamma[:, i] + eps[:, i]
-            raw = np.array([
-                s[k] + sc.harvests[k, i] - p[k, i] * dt - delta_i[k]
-                + alpha[1 - k] * delta_i[1 - k]
-                for k in range(2)
-            ])
+            _, raw = _battery_step(s, i, p[:, i], gamma[:, i] + eps[:, i], sc)
             flush = np.minimum(np.maximum(0.0, raw - cap), pending)
             if np.all(flush <= 1e-15):
                 break
             eps[:, i] += flush
             pending -= flush
-        delta_i = gamma[:, i] + eps[:, i]
-        for k in range(2):
-            s[k] = min(cap[k], s[k] + sc.harvests[k, i] - p[k, i] * dt - delta_i[k]
-                       + alpha[1 - k] * delta_i[1 - k])
+        s, _ = _battery_step(s, i, p[:, i], gamma[:, i] + eps[:, i], sc)
     return decompose(TransferPolicy(p, gamma + eps), sc, immediate=gamma)

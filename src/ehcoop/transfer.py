@@ -8,12 +8,13 @@ affine in a node's own consumed power (level_pieces), read through SlotLevel.
 All functions take consumed powers in mW (equivalently mJ for unit slots)
 and read effective noises and efficiencies from the Scenario, as Python
 floats (through .tolist()): numpy scalars give the same values at about
-twice the cost per operation.  Each model has one split, (pb1, pb2,
-n1, n2, a1, a2) -> (d1, d2, regime), and its slot rate is the channel
-rate of that split applied.  slot_rate is the slot rate alone, with the
-constants read once, for sums over many slots (the solvers' objective);
-slot_transfer takes its rate from it.  rate_grid is the array form of the
-slot rate, for tables over many consumed powers at once (the DP oracle).
+twice the cost per operation.  Each model has one split in _SPLIT,
+(pb1, pb2, n1, n2, a1, a2) -> (d1, d2, regime), and its slot rate is the
+channel rate (model.CHANNEL_RATE) of that split applied.  slot_rate is the
+slot rate alone, with the constants read once, for sums over many slots
+(the solvers' objective); slot_transfer takes its rate from it.
+rate_grid is the array form of the slot rate, for tables over many
+consumed powers at once (the DP oracle).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import InputError, ModelKind, Scenario, rate
+from .model import CHANNEL_RATE, InputError, ModelKind, Scenario, rate
 
 BOUNDARY_TOL = 1e-12
 
@@ -93,6 +94,9 @@ def _mac_split(pb1, pb2, n1, n2, a1, a2):
                     else Regime.NO_TRANSFER)
 
 
+_SPLIT = {ModelKind.TWC: _twc_split, ModelKind.THC: _thc_split, ModelKind.MAC: _mac_split}
+
+
 def _constants(sc):
     return (*sc.effective_noise_mw.tolist(), *sc.transfer_efficiency.tolist())
 
@@ -106,15 +110,15 @@ def mac_sends(sc: Scenario) -> tuple:
 
 def mac_gains(sc: Scenario) -> tuple:
     """SNR per unit of consumed power of each MAC user, (g1, g2): with
-    c_k = 1/n_k, g_k = a_k*c_j when user k sends (mac_sends), else c_k; so
-    g_k is the larger of the two.
+    c_k = 1/n_k, g_k = a_k*c_j when user k sends (mac_sends), else c_k.
 
     The slot rate is 0.5*log1p(g1*pb1 + g2*pb2), so the MAC is a single
     node with arrivals g1*E1 + g2*E2.
     """
     n1, n2, a1, a2 = _constants(sc)
     c1, c2 = 1.0 / n1, 1.0 / n2
-    return max(a1 * c2, c1), max(a2 * c1, c2)
+    send1, send2 = mac_sends(sc)
+    return (a1 * c2 if send1 else c1), (a2 * c1 if send2 else c2)
 
 
 def slot_transfer(model_kind, pb1, pb2, sc: Scenario) -> SlotTransfer:
@@ -122,38 +126,22 @@ def slot_transfer(model_kind, pb1, pb2, sc: Scenario) -> SlotTransfer:
     (_twc_split), the THC's equalized received powers (_thc_split) or the
     MAC's corner of a linear program (_mac_split), with slot_rate's rate."""
     _check_powers(pb1, pb2)
-    split = (_twc_split if model_kind is ModelKind.TWC
-             else _thc_split if model_kind is ModelKind.THC else _mac_split)
-    d1, d2, regime = split(pb1, pb2, *_constants(sc))
+    d1, d2, regime = _SPLIT[model_kind](pb1, pb2, *_constants(sc))
     return SlotTransfer((d1, d2), regime, slot_rate(model_kind, sc)(pb1, pb2))
 
 
 def slot_rate(model_kind, sc: Scenario):
     """The slot rate under the optimal transfer as a function rate(pb1, pb2)
     in nats, with the channel constants read once: slot_transfer's
-    rate_nats, without its SlotTransfer.  Each model's rate is its split,
-    applied to the consumed powers, then its channel rate (model.rate)."""
+    rate_nats, without its SlotTransfer.  The model's split, applied to the
+    consumed powers, then its channel rate (model.CHANNEL_RATE)."""
     n1, n2, a1, a2 = _constants(sc)
-    if model_kind is ModelKind.TWC:
-        def rate(pb1, pb2):
-            _check_powers(pb1, pb2)
-            d1, d2, _ = _twc_split(pb1, pb2, n1, n2, a1, a2)
-            return (0.5 * math.log1p(max(pb1 - d1 + a2 * d2, 0.0) / n1)
-                    + 0.5 * math.log1p(max(pb2 - d2 + a1 * d1, 0.0) / n2))
-        return rate
-    if model_kind is ModelKind.THC:
-        def rate(pb1, pb2):
-            _check_powers(pb1, pb2)
-            d1, d2, _ = _thc_split(pb1, pb2, n1, n2, a1, a2)
-            return min(0.5 * math.log1p(max(pb1 - d1 + a2 * d2, 0.0) / n1),
-                       0.5 * math.log1p(max(pb2 - d2 + a1 * d1, 0.0) / n2))
-        return rate
+    split, channel_rate = _SPLIT[model_kind], CHANNEL_RATE[model_kind]
 
     def rate(pb1, pb2):
         _check_powers(pb1, pb2)
-        d1, d2, _ = _mac_split(pb1, pb2, n1, n2, a1, a2)
-        return 0.5 * math.log1p(max(pb1 - d1 + a2 * d2, 0.0) / n1
-                                + max(pb2 - d2 + a1 * d1, 0.0) / n2)
+        d1, d2, _ = split(pb1, pb2, n1, n2, a1, a2)
+        return channel_rate(max(pb1 - d1 + a2 * d2, 0.0), max(pb2 - d2 + a1 * d1, 0.0), n1, n2)
     return rate
 
 
@@ -162,8 +150,9 @@ def rate_grid(model_kind, pb1, pb2, sc: Scenario) -> np.ndarray:
     y in pb2, as an array of shape (len(pb1), len(pb2)).
 
     The transfers of each model's split as arrays, with its regime tests
-    and BOUNDARY_TOL, applied, then the channel rate, as in slot_rate; the
-    values agree with it to within the last bits of the logarithms.
+    and BOUNDARY_TOL, applied, then the channel rate (model.CHANNEL_RATE on
+    numpy's log1p and minimum), as in slot_rate; the values agree with it
+    to within the last bits of the logarithms.
     """
     x = np.asarray(pb1, dtype=float)[:, None]
     y = np.asarray(pb2, dtype=float)[None, :]
@@ -183,13 +172,9 @@ def rate_grid(model_kind, pb1, pb2, sc: Scenario) -> np.ndarray:
     else:
         send1, send2 = mac_sends(sc)
         d1, d2 = (x if send1 else 0.0), (y if send2 else 0.0)
-    p1 = np.maximum(x - d1 + a2 * d2, 0.0)
-    p2 = np.maximum(y - d2 + a1 * d1, 0.0)
-    if model_kind is ModelKind.TWC:
-        return 0.5 * np.log1p(p1 / n1) + 0.5 * np.log1p(p2 / n2)
-    if model_kind is ModelKind.THC:
-        return np.minimum(0.5 * np.log1p(p1 / n1), 0.5 * np.log1p(p2 / n2))
-    return 0.5 * np.log1p(p1 / n1 + p2 / n2)
+    return CHANNEL_RATE[model_kind](np.maximum(x - d1 + a2 * d2, 0.0),
+                                    np.maximum(y - d2 + a1 * d1, 0.0), n1, n2,
+                                    np.log1p, np.minimum)
 
 
 def _pieces(regions):

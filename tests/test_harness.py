@@ -25,6 +25,14 @@ VALID_SCENARIO = {
     "noise_power_W": [1e-13, 1e-13],
 }
 
+# default-seed verify-cli entry 2 (THC, infinite batteries) needs two passes;
+# with waterfill.MAX_PASSES = 1 its solve reports converged=False
+TWO_PASS_THC = dict(VALID_SCENARIO, model="THC",
+                    harvests_mJ=[[9.180475409996028, 8.605109461151896, 9.03713470566495],
+                                 [7.955237307033812, 1.9420096873733705, 3.0095810994642305]],
+                    transfer_efficiency=[0.3673537390903534, 0.7992763514812304],
+                    channel_gain_dB=[-97.73122672858605, -98.52362314531442])
+
 
 def write_json(tmp_path, name, payload):
     path = tmp_path / name
@@ -103,6 +111,22 @@ class TestRunSweep:
             assert by_mode["bidirectional"] >= by_mode["uni_2_to_1"] - 1e-9
             assert by_mode["uni_1_to_2"] >= by_mode["no_cooperation"] - 1e-9
             assert by_mode["uni_2_to_1"] >= by_mode["no_cooperation"] - 1e-9
+
+    def test_alpha1_range_equals_its_values(self):
+        sweep = {"base_scenario": TWO_PASS_THC, "swept_parameter": "alpha1",
+                 "lo": 0.0, "hi": 1.0, "step": 0.25, "trials_per_point": 2,
+                 "modes": ["bidirectional", "uni_1_to_2", "no_cooperation"]}
+        spec = harness.sweep_spec_from_dict(sweep)
+        assert spec.values == tuple(np.arange(0, 1.125, 0.25))
+        rows = harness.run_sweep(spec)
+        del sweep["lo"], sweep["hi"], sweep["step"]
+        sweep["values"] = [0.0, 0.25, 0.5, 0.75, 1.0]
+        assert rows == harness.run_sweep(harness.sweep_spec_from_dict(sweep))
+        assert len(rows) == 15 and all(r.converged for r in rows)
+        for value in spec.values:
+            by_mode = {r.mode: r.mean_nats for r in rows if r.swept_value == value}
+            assert by_mode["bidirectional"] >= by_mode["uni_1_to_2"] - 1e-9
+            assert by_mode["uni_1_to_2"] >= by_mode["no_cooperation"] - 1e-9
 
     def test_bad_swept_parameter(self):
         with pytest.raises(InputError):
@@ -295,9 +319,10 @@ class TestCli:
         (dict(values=None, lo=[0.0], hi=1.0, step=0.5), "lo must be numeric, got [0.0]"),
         (dict(modes=[["bi"]]), "modes must be strings, got ['bi']"),
         (dict(modes=[{"a": 1}]), "modes must be strings, got {'a': 1}"),
+        (dict(modes=["bidirectional", "bidirectional"]), "modes must not repeat a mode"),
     ], ids=["no-modes", "no-base", "no-parameter", "no-values", "modes-string",
             "values-object", "values-number", "values-nested", "values-partly-nested",
-            "lo-list", "modes-list-entry", "modes-object-entry"])
+            "lo-list", "modes-list-entry", "modes-object-entry", "modes-repeated"])
     def test_sweep_spec_boundary_is_input_error(self, tmp_path, capsys, spec, message):
         sweep = {"base_scenario": VALID_SCENARIO, "swept_parameter": "alpha1",
                  "values": [0.5], "modes": ["bidirectional"], "trials_per_point": 1}
@@ -449,6 +474,26 @@ class TestCli:
         assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 0
         assert out.read_text().startswith("swept_value,mode,")
 
+    def test_unconverged_solve_exits_2(self, tmp_path, capsys, monkeypatch):
+        cfg = write_json(tmp_path, "sc.json", TWO_PASS_THC)
+        monkeypatch.setattr(waterfill, "MAX_PASSES", 1)
+        assert cli.main(["solve", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out.startswith("objective: ")
+        assert captured.err == "warning: solver did not converge after 1 passes\n"
+
+    def test_unconverged_sweep_exits_2(self, tmp_path, capsys, monkeypatch):
+        sweep = {"base_scenario": TWO_PASS_THC, "swept_parameter": "alpha1",
+                 "values": [0.3673537390903534], "trials_per_point": 1,
+                 "modes": ["bidirectional"]}
+        cfg = write_json(tmp_path, "sweep.json", sweep)
+        out = tmp_path / "rows.csv"
+        monkeypatch.setattr(waterfill, "MAX_PASSES", 1)
+        assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "warning: some solves did not converge\n"
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert [r["converged"] for r in rows] == ["False"]
+
 
 def _scaled_transmit(report, factor):
     return dataclasses.replace(report, transmit=TransferPolicy(
@@ -496,15 +541,7 @@ class TestVerifyFindings:
         assert [line for line in lines[:-1] if finding in line]
 
     def test_unconverged_solve_fails(self, tmp_path, capsys, monkeypatch):
-        # default-seed verify-cli entry 2 (THC, infinite batteries) needs two
-        # passes; with one the solve reports converged=False
-        d = dict(VALID_SCENARIO, model="THC",
-                 harvests_mJ=[[9.180475409996028, 8.605109461151896, 9.03713470566495],
-                              [7.955237307033812, 1.9420096873733705, 3.0095810994642305]],
-                 battery_capacity_mJ=["inf", "inf"],
-                 transfer_efficiency=[0.3673537390903534, 0.7992763514812304],
-                 channel_gain_dB=[-97.73122672858605, -98.52362314531442])
-        cfg = write_json(tmp_path, "sc.json", d)
+        cfg = write_json(tmp_path, "sc.json", TWO_PASS_THC)
         assert cli.main(["verify", "--config", cfg, "--grid-points", "20"]) == 0
         capsys.readouterr()
         monkeypatch.setattr(waterfill, "MAX_PASSES", 1)
